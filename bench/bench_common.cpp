@@ -30,8 +30,8 @@ std::unique_ptr<metrics::MetricsHub> g_metrics_hub;
 /// plumbing.
 lb::SocketBringup g_socket_bringup;
 /// Process-wide simulator shard count from --shards, carried by every
-/// RunConfig common_config builds (0 = the plain single-queue engine).
-int g_sim_shards = 0;
+/// RunConfig common_config builds (1 = one event queue).
+int g_sim_shards = 1;
 
 std::vector<std::string> split_commas(const std::string& s) {
   std::vector<std::string> out;
@@ -82,10 +82,9 @@ Flags& define_run_flags(Flags& flags, const RunFlagSpec& spec) {
                 "time on threads)");
   }
   if (spec.shards) {
-    flags.define("shards", "0",
-                 "simulator event-queue shards (0 = plain single-queue "
-                 "engine, 1 = sharded coordinator with one shard "
-                 "[byte-identical to 0], >=2 = cluster-aligned conservative "
+    flags.define("shards", "1",
+                 "simulator event-queue shards (0 or 1 = one shard, a "
+                 "single event queue; >=2 = cluster-aligned conservative "
                  "sharding; see docs/SCALING.md)");
   }
   return flags;

@@ -57,15 +57,15 @@ struct RunFlagSpec {
   /// --time-limit-ms wall-clock watchdog.
   bool backend = true;
   bool metrics = true;  ///< --metrics / --metrics-interval (live telemetry)
-  /// --shards (simulator event-queue shards; see docs/SCALING.md). 0 = the
-  /// plain single-queue engine, the pre-sharding default.
+  /// --shards (simulator event-queue shards; see docs/SCALING.md). 0 or 1
+  /// (the default) = one shard, a single event queue.
   bool shards = true;
 };
 
 /// Registers the flags shared by the bench mains according to `spec`.
 Flags& define_run_flags(Flags& flags, const RunFlagSpec& spec = {});
 
-/// The parsed values. Fields whose flag was suppressed keep these zeros.
+/// The parsed values. Fields whose flag was suppressed keep these defaults.
 struct RunFlags {
   int peers = 0;
   int jobs = 0;
@@ -73,7 +73,7 @@ struct RunFlags {
   std::uint64_t seed = 1;
   bool csv = false;
   lb::Backend backend = lb::Backend::kSim;
-  int sim_shards = 0;  ///< --shards (0 = plain engine)
+  int sim_shards = 1;  ///< --shards (0 or 1 = one shard)
 };
 
 /// Reads back whichever of the shared flags were defined. Parsing --backend

@@ -29,11 +29,16 @@ namespace olb::bb {
 /// Peers *prune* only with knowledge that travelled through the simulated
 /// network; this recorder exists so the harness can read the final solution
 /// (and so tests can verify optimality).
+///
+/// The incumbent is the least (makespan, permutation) pair offered, so ties
+/// between equally good schedules resolve the same way whatever order they
+/// arrive in — on every rank and every backend.
 class BestSolution {
  public:
   void offer(std::int64_t makespan, std::vector<int> permutation) {
     std::scoped_lock lock(mu_);
-    if (makespan < makespan_) {
+    if (makespan < makespan_ ||
+        (makespan == makespan_ && permutation < permutation_)) {
       makespan_ = makespan;
       permutation_ = std::move(permutation);
     }

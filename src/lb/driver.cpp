@@ -283,11 +283,7 @@ struct BuiltCluster {
   AhmwPeer* ahmw_root = nullptr;         ///< set for Strategy::kAHMW
 };
 
-// Templated over the engine so the sharded coordinator (sim::ShardedEngine)
-// builds byte-identical clusters through the same code path as the plain
-// engine — both expose the add_actor/num_actors/actor surface.
-template <class EngineT>
-BuiltCluster build_cluster(EngineT& engine, Workload& workload,
+BuiltCluster build_cluster(sim::ShardedEngine& engine, Workload& workload,
                            const RunConfig& config) {
   BuiltCluster built;
   const int n = config.num_peers;
@@ -395,13 +391,13 @@ BuiltCluster build_cluster(EngineT& engine, Workload& workload,
   return built;
 }
 
-/// Caps config.sim_shards to what the run supports: features that need one
-/// global event order (or per-link state sized to the whole cluster) force a
-/// single shard, with a one-time note so sweeps are not silently
-/// reconfigured.
+/// Clamps config.sim_shards to what the run supports: values <= 1 mean one
+/// shard, and features that need one global event order (or per-link state
+/// sized to the whole cluster) force a single shard, with a one-time note so
+/// sweeps are not silently reconfigured.
 int effective_sim_shards(const RunConfig& config) {
-  const int shards = std::max(config.sim_shards, 0);
-  if (shards < 2) return shards;
+  const int shards = std::max(config.sim_shards, 1);
+  if (shards == 1) return shards;
   const char* why = nullptr;
   if (config.tracer != nullptr) {
     why = "tracing";
@@ -463,15 +459,11 @@ OverlayConfig make_overlay_config(const RunConfig& config) {
 
 namespace {
 
-// The whole run — configuration, cluster build, execution, metric harvest —
-// shared between the plain engine and the sharded coordinator. Everything
-// here reads the common accessor surface the two types mirror.
-template <class EngineT>
-RunMetrics run_on_engine(EngineT& engine, Workload& workload,
+// The whole run — configuration, cluster build, execution, metric harvest.
+RunMetrics run_on_engine(sim::ShardedEngine& engine, Workload& workload,
                          const RunConfig& config) {
   engine.set_tracer(config.tracer);
   engine.set_metrics(config.metrics);
-  engine.enable_queue_delay_stats();
   BuiltCluster built = build_cluster(engine, workload, config);
   if (config.faults.enabled()) engine.set_faults(config.faults);
   engine.set_perturbation(config.perturb);
@@ -589,16 +581,8 @@ RunMetrics run_distributed(Workload& workload, const RunConfig& config) {
                 "runs go through runtime::run_threads / runtime::run_sockets");
   validate_faults_for_strategy(config);
   validate_churn(config);
-  const int shards = effective_sim_shards(config);
-  if (shards == 0) {
-    // The pre-sharding code path, untouched: sim_shards=0 runs stay
-    // byte-identical to every release before the sharded coordinator.
-    sim::Engine engine(config.net, config.seed);
-    RunMetrics metrics = run_on_engine(engine, workload, config);
-    metrics.sim_shards = 1;
-    return metrics;
-  }
-  sim::ShardedEngine engine(config.net, config.seed, config.num_peers, shards);
+  sim::ShardedEngine engine(config.net, config.seed, config.num_peers,
+                           effective_sim_shards(config));
   RunMetrics metrics = run_on_engine(engine, workload, config);
   metrics.sim_shards = engine.num_shards();
   metrics.sim_windows = engine.windows_run();

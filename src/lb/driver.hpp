@@ -34,7 +34,7 @@ const char* strategy_name(Strategy s);
 bool strategy_is_overlay(Strategy s);
 
 /// Execution backend for a run. kSim is the discrete-event simulator
-/// (sim::Engine); kThreads runs the same protocol objects on real threads
+/// (sim::ShardedEngine); kThreads runs the same protocol objects on real threads
 /// (runtime::ThreadNet) over real shared-memory work; kSockets runs one
 /// peer per OS process joined by TCP (runtime::SocketNet).
 enum class Backend {
@@ -179,16 +179,14 @@ struct RunConfig {
   metrics::MetricsHub* metrics = nullptr;
 
   /// Simulator sharding (Backend::kSim only; see simnet/sharded_engine.hpp).
-  /// 0 (default) runs the plain single-queue engine — exactly the
-  /// pre-sharding code path. 1 runs the sharded coordinator with one shard,
-  /// which is byte-identical to 0 by construction (CI compares the two on
-  /// pinned traces). >= 2 splits the peer range into that many
-  /// cluster-aligned shards under conservative lookahead — deterministic,
-  /// but a different (equally valid) timeline than the single-queue run.
-  /// Features that assume one global event order (tracing, live metrics,
-  /// fault injection, perturbation, the lost-work plant) force a fallback
-  /// to one shard with a one-time stderr note.
-  int sim_shards = 0;
+  /// 1 (default; 0 and negative values mean the same) runs one shard: a
+  /// single event queue over the whole cluster. >= 2 splits the peer range
+  /// into that many cluster-aligned shards under conservative lookahead —
+  /// deterministic, but a different (equally valid) timeline than the
+  /// single-queue run. Features that assume one global event order
+  /// (tracing, live metrics, fault injection, perturbation, the lost-work
+  /// plant) force a fallback to one shard with a one-time stderr note.
+  int sim_shards = 1;
 
   /// Execution backend. run_distributed only accepts kSim; kThreads runs
   /// go through runtime::run_threads and kSockets through
@@ -259,9 +257,8 @@ struct RunMetrics {
   std::uint64_t events = 0;
   bool ok = false;  ///< quiesced, protocol terminated, no work left anywhere
 
-  /// Simulator sharding actually used (1 for the plain engine and for
-  /// single-shard runs) and conservative windows executed (0 when the
-  /// window loop never ran — plain engine or one shard).
+  /// Simulator sharding actually used and conservative windows executed
+  /// (0 when the window loop never ran, i.e. one shard).
   int sim_shards = 1;
   std::uint64_t sim_windows = 0;
 

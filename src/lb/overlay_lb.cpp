@@ -7,6 +7,19 @@
 
 namespace olb::lb {
 
+namespace {
+
+/// A child's upward (sent, recv) report that is component-wise <= and !=
+/// the one already held. Those counters only grow while no crash has been
+/// seen, so such a report was overtaken in flight by a newer one.
+bool is_stale_report(const std::pair<std::uint64_t, std::uint64_t>& report,
+                     const std::pair<std::uint64_t, std::uint64_t>& held) {
+  return report != held && report.first <= held.first &&
+         report.second <= held.second;
+}
+
+}  // namespace
+
 OverlayPeer::OverlayPeer(std::shared_ptr<const overlay::TreeOverlay> tree,
                          OverlayConfig config, std::unique_ptr<Work> initial_work,
                          std::uint64_t capacity_weight)
@@ -495,8 +508,18 @@ void OverlayPeer::on_req_up(const sim::Message& m) {
     idx = adopt_child(m.src, std::max<std::uint64_t>(
                                  tree_->subtree_size(m.src), 1));
   }
+  const std::pair<std::uint64_t, std::uint64_t> report{
+      static_cast<std::uint64_t>(m.b), static_cast<std::uint64_t>(m.c)};
+  if (crash_epoch_ == 0 && is_stale_report(report, child_agg_[idx])) {
+    // The base network is not FIFO per link: two upward requests sent at
+    // the same instant (a compute-done wake, then an inbox message, with
+    // no handling cost between them) can swap under latency jitter. The
+    // older one carries superseded counters and an already-answered
+    // request — storing it would unbalance the aggregates for good.
+    return;
+  }
   pending_child_[idx] = true;
-  child_agg_[idx] = {static_cast<std::uint64_t>(m.b), static_cast<std::uint64_t>(m.c)};
+  child_agg_[idx] = report;
 
   if (holds_work()) {
     const double fraction = fraction_for_child(idx, kReqUp);

@@ -145,17 +145,16 @@ void Engine::send_from(Actor& from, int dst, Message m) {
   if (perturb_jitter_ > 0) [[unlikely]] {
     latency += static_cast<Time>(
         perturb_rng_.below(static_cast<std::uint64_t>(perturb_jitter_) + 1));
-    // The jitter must not let a message overtake an earlier one on the same
-    // ordered link: the overlay termination rules treat an upward request as
-    // the subtree-finished signal, which is only sound on non-overtaking
-    // links (DESIGN.md, conformance notes). The base network keeps that
-    // promise structurally — consecutive same-link sends are spaced by at
-    // least msg_handling_cost, which exceeds its latency_jitter — but an
-    // extra_jitter larger than that spacing would break it (the fuzzer
-    // found exactly this: a finished-signal overtaking the final work
-    // transfer, stranding work at a terminated root). So perturbed arrivals
-    // are clamped to stay strictly behind the link's last scheduled one;
-    // strict monotonicity also keeps tie shuffling from swapping them.
+    // The extra jitter must not let a message overtake an earlier one on
+    // the same ordered link: the overlay termination rules treat an upward
+    // request as the subtree-finished signal, which is only sound when it
+    // cannot overtake a work transfer (DESIGN.md §6.3, finding 1). A large
+    // extra_jitter broke that (the fuzzer found a finished-signal
+    // overtaking the final work transfer, stranding work at a terminated
+    // root). So perturbed arrivals are clamped to stay strictly behind the
+    // link's last scheduled one; strict monotonicity also keeps tie
+    // shuffling from swapping them. The base latency_jitter alone can
+    // still swap two sends made at the same instant.
     if (perturb_link_last_.empty()) {
       perturb_link_last_.resize(static_cast<std::size_t>(num_actors()) *
                                     static_cast<std::size_t>(num_actors()),
@@ -264,49 +263,12 @@ void Engine::service(Actor& a, Time t) {
     // Application messages (type >= 0) first: one compare on the hot path,
     // the engine-reserved negative types pay the second.
     if (m.type >= 0) {
-      a.on_message(std::move(m));
-    } else if (m.type == kTimerMsgType) {
-      a.on_timer(m.a);
-    } else {
-      a.on_peer_down(static_cast<int>(m.a));
-    }
-  } else if (a.compute_pending_) {
-    a.compute_pending_ = false;
-    a.on_compute_done();
-  }
-
-  if (!a.inbox_.empty() || a.compute_pending_) {
-    schedule_wake(a, a.busy_until_ > t ? a.busy_until_ : t);
-  }
-}
-
-// Keep this in lockstep with service() above: same dispatch, plus trace
-// emission and queueing-delay accounting. run() picks one loop flavour up
-// front so an untraced run's event loop is byte-for-byte the plain one.
-void Engine::service_instrumented(Actor& a, Time t) {
-  if (t < a.busy_until_) [[unlikely]] {
-    schedule_wake(a, a.busy_until_);
-    return;
-  }
-
-  if (!a.started_) {
-    a.started_ = true;
-    a.on_start();
-  } else if (!a.inbox_.empty()) {
-    Message m = std::move(a.inbox_.front());
-    a.inbox_.pop_front();
-    ++a.stats_.msgs_received;
-    a.busy_until_ = t + config_.msg_handling_cost;
-    a.stats_.overhead_time += config_.msg_handling_cost;
-    if (m.type >= 0) {
-      if (measure_queue_delay_) {
-        const Time inbox_wait = t - m.arrived_at;
-        queue_delay_sum_ += inbox_wait;
-        ++queue_delay_samples_;
-        if (inbox_wait > queue_delay_max_) queue_delay_max_ = inbox_wait;
-      }
+      const Time inbox_wait = t - m.arrived_at;
+      queue_delay_sum_ += inbox_wait;
+      ++queue_delay_samples_;
+      if (inbox_wait > queue_delay_max_) queue_delay_max_ = inbox_wait;
       trace::emit(tracer_, t, trace::EventKind::kMsgDeliver, a.id_, m.src,
-                  m.type, static_cast<std::int64_t>(m.id), t - m.arrived_at);
+                  m.type, static_cast<std::int64_t>(m.id), inbox_wait);
       a.on_message(std::move(m));
     } else if (m.type == kTimerMsgType) {
       trace::emit(tracer_, t, trace::EventKind::kTimerFire, a.id_, -1, 0, m.a,
@@ -330,11 +292,10 @@ void Engine::service_instrumented(Actor& a, Time t) {
   }
 }
 
-// `Faulty` compiles the crash/stall handling out of fault-free runs: their
-// event kinds are never queued without a plan, and the crashed-actor probes
-// would otherwise cost a load + branch on every event. `Metered` likewise
-// compiles the snapshot-deadline probe out of metrics-off runs.
-template <bool Instrumented, bool Faulty, bool Metered>
+// Crash and stall events are only ever queued under a fault plan, and
+// `crashed_` only ever set by one, so fault-free runs never take the crash
+// probes below. Likewise metrics_next_ stays kTimeMax unless a hub is
+// attached, so the snapshot deadline never fires in metrics-off runs.
 Engine::RunResult Engine::run_loop(Time time_limit, std::uint64_t event_limit) {
   RunResult result;
   while (!queue_.empty()) {
@@ -350,22 +311,18 @@ Engine::RunResult Engine::run_loop(Time time_limit, std::uint64_t event_limit) {
     now_ = e.time;
     ++result.events;
     result.end_time = now_;
-    if constexpr (Metered) {
-      if (now_ >= metrics_next_) [[unlikely]] flush_metrics(result.events);
-    }
+    if (now_ >= metrics_next_) [[unlikely]] flush_metrics(result.events);
     const int dst = e.dst;
     const Event::Kind kind = e.kind;
     Actor& a = *actors_[static_cast<std::size_t>(dst - id_base_)];
     switch (kind) {
       case Event::Kind::kArrival:
-        if constexpr (Faulty) {
-          if (a.crashed_) [[unlikely]] {
-            Event dead = queue_.pop();
-            arrival_at_crashed(std::move(dead));
-            break;
-          }
+        if (a.crashed_) [[unlikely]] {
+          Event dead = queue_.pop();
+          arrival_at_crashed(std::move(dead));
+          break;
         }
-        if constexpr (Instrumented) e.msg.arrived_at = now_;
+        e.msg.arrived_at = now_;
         a.inbox_.push_back(std::move(e.msg));
         queue_.drop_top();
         if (!a.wake_pending_) {
@@ -375,23 +332,17 @@ Engine::RunResult Engine::run_loop(Time time_limit, std::uint64_t event_limit) {
       case Event::Kind::kWake:
         queue_.drop_top();
         a.wake_pending_ = false;
-        if constexpr (Faulty) {
-          if (a.crashed_) [[unlikely]] break;
-        }
-        if constexpr (Instrumented) {
-          service_instrumented(a, now_);
-        } else {
-          service(a, now_);
-        }
+        if (a.crashed_) [[unlikely]] break;
+        service(a, now_);
         break;
       case Event::Kind::kCrash:
         queue_.drop_top();
-        if constexpr (Faulty) apply_crash(dst);
+        apply_crash(dst);
         break;
       case Event::Kind::kStall: {
         const Time stall = e.msg.a;
         queue_.drop_top();
-        if constexpr (Faulty) apply_stall(dst, stall);
+        apply_stall(dst, stall);
         break;
       }
     }
@@ -469,7 +420,7 @@ void Engine::apply_stall(int peer, Time duration) {
 void Engine::set_metrics(metrics::MetricsHub* hub) {
   if constexpr (!metrics::kMetricsCompiled) {
     (void)hub;
-    return;  // never arm: the metered loop flavour stays unreachable
+    return;  // never arm: the snapshot deadline stays kTimeMax
   }
   OLB_CHECK_MSG(!running_, "metrics must be attached before run()");
   metrics_hub_ = hub;
@@ -504,14 +455,13 @@ void Engine::flush_metrics(std::uint64_t events_so_far) {
   metrics_next_ = now_ + metrics_hub_->interval_ns();
 }
 
-template <bool Instrumented, bool Faulty>
 Engine::RunResult Engine::run_metered(Time time_limit, std::uint64_t event_limit) {
   // Arm instruments once per run: get-or-create is idempotent, so resumed
   // runs (limit hit, then run() again) just re-fetch the same pointers.
   for (auto& a : actors_) a->on_metrics(metrics_hub_->registry());
   m_last_events_ = 0;  // result.events restarts per run(); deltas must too
   metrics_next_ = now_ + metrics_hub_->interval_ns();
-  RunResult result = run_loop<Instrumented, Faulty, true>(time_limit, event_limit);
+  RunResult result = run_loop(time_limit, event_limit);
   flush_metrics(result.events);  // final window, so short runs still export
   return result;
 }
@@ -542,19 +492,9 @@ Engine::RunResult Engine::run(Time time_limit, std::uint64_t event_limit) {
   running_ = true;
   schedule_startup();
   if (metrics_hub_ != nullptr) [[unlikely]] {
-    if (faults_on_) {
-      return instrumented_ ? run_metered<true, true>(time_limit, event_limit)
-                           : run_metered<false, true>(time_limit, event_limit);
-    }
-    return instrumented_ ? run_metered<true, false>(time_limit, event_limit)
-                         : run_metered<false, false>(time_limit, event_limit);
+    return run_metered(time_limit, event_limit);
   }
-  if (faults_on_) {
-    return instrumented_ ? run_loop<true, true, false>(time_limit, event_limit)
-                         : run_loop<false, true, false>(time_limit, event_limit);
-  }
-  return instrumented_ ? run_loop<true, false, false>(time_limit, event_limit)
-                       : run_loop<false, false, false>(time_limit, event_limit);
+  return run_loop(time_limit, event_limit);
 }
 
 }  // namespace olb::sim

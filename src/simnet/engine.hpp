@@ -306,33 +306,22 @@ class Engine final : public Transport {
 
   /// Attaches a trace sink (not owned; must outlive run()). nullptr (the
   /// default) disables tracing at the cost of one branch per event site.
-  /// Attaching a tracer also turns on queueing-delay accounting.
-  void set_tracer(trace::TraceSink* tracer) {
-    tracer_ = tracer;
-    if (tracer != nullptr) measure_queue_delay_ = true;
-    instrumented_ = tracer_ != nullptr || measure_queue_delay_;
-  }
+  void set_tracer(trace::TraceSink* tracer) { tracer_ = tracer; }
   trace::TraceSink* tracer() const { return tracer_; }
 
-  /// Queueing-delay accounting: how long application messages sat in an
-  /// inbox behind a busy actor before being handled — the paper's
-  /// Master-Worker collapse is exactly this number exploding at the master.
-  /// Off by default to keep the raw event loop at full speed; the lb driver
-  /// switches it on for every run.
-  void enable_queue_delay_stats() {
-    measure_queue_delay_ = true;
-    instrumented_ = true;
-  }
   /// Attaches a live-metrics hub (not owned; must outlive run()). The engine
   /// registers its own instruments, arms every actor's via on_metrics, and
   /// flushes a snapshot whenever simulated time crosses the hub's interval —
   /// so the cadence is deterministic simulated milliseconds. nullptr (the
-  /// default) disables metrics; like tracing, the metered run_loop flavour
-  /// is only entered when a hub is attached, and metrics only *read* actor
-  /// state, so runs stay byte-identical with or without a hub.
+  /// default) disables metrics: the snapshot deadline then stays kTimeMax,
+  /// and metrics only *read* actor state, so runs stay byte-identical with
+  /// or without a hub.
   void set_metrics(metrics::MetricsHub* hub);
   metrics::MetricsHub* metrics_hub() const { return metrics_hub_; }
 
+  /// Queueing-delay accounting (always on): how long application messages
+  /// sat in an inbox behind a busy actor before being handled — the paper's
+  /// Master-Worker collapse is exactly this number exploding at the master.
   Time queueing_delay_max() const { return queue_delay_max_; }
   std::uint64_t queueing_delay_samples() const { return queue_delay_samples_; }
   double queueing_delay_mean() const {
@@ -367,13 +356,9 @@ class Engine final : public Transport {
   void send_from(Actor& from, int dst, Message m);
   void schedule_wake(Actor& a, Time at);
   void service(Actor& a, Time t);
-  void service_instrumented(Actor& a, Time t);
-  /// `Metered` adds the snapshot-deadline probe per event; like the other
-  /// two flavours it is chosen once in run() so metrics-off loops carry no
-  /// trace of it.
-  template <bool Instrumented, bool Faulty, bool Metered>
   RunResult run_loop(Time time_limit, std::uint64_t event_limit);
-  template <bool Instrumented, bool Faulty>
+  /// run_loop with a metrics hub attached: arms the instruments, sets the
+  /// first snapshot deadline, and flushes the final window.
   RunResult run_metered(Time time_limit, std::uint64_t event_limit);
   /// Polls every live actor's gauges, updates the engine's own instruments,
   /// and flushes a snapshot stamped `now_`. Cold path (once per interval).
@@ -444,13 +429,11 @@ class Engine final : public Transport {
   // Tracing / queueing-delay state lives after the event-loop hot members so
   // attaching the subsystem does not shift their cache-line layout.
   trace::TraceSink* tracer_ = nullptr;
-  bool instrumented_ = false;  ///< tracer_ != nullptr || measure_queue_delay_
-  bool measure_queue_delay_ = false;
   Time queue_delay_sum_ = 0;
   Time queue_delay_max_ = 0;
   std::uint64_t queue_delay_samples_ = 0;
   // Live metrics (cold like tracing: nothing below is touched unless a hub
-  // is attached, and the metered loop flavour is only entered then).
+  // is attached; without one metrics_next_ never comes due).
   metrics::MetricsHub* metrics_hub_ = nullptr;
   Time metrics_next_ = kTimeMax;  ///< next snapshot deadline (simulated)
   struct EngineInstruments {

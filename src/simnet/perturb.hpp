@@ -13,13 +13,11 @@
 //    [0, extra_jitter], creating new ties and cross-link overtakings that
 //    the base network model (fixed per-link latency + small jitter) never
 //    produces. Per-link delivery order is preserved (arrivals are clamped
-//    to stay behind the link's last scheduled one): the protocols'
-//    termination arguments assume non-overtaking links, an assumption the
-//    base network meets structurally because consecutive same-link sends
-//    are spaced by at least msg_handling_cost > latency_jitter. Jitter that
-//    reordered a link would explore schedules outside the protocol's
-//    contract — the fuzzer demonstrated a (legitimate) termination failure
-//    there, with a finished-signal overtaking the final work transfer.
+//    to stay behind the link's last scheduled one): the fuzzer showed a
+//    large extra jitter letting a finished-signal overtake the final work
+//    transfer on its link, a schedule the protocols' termination argument
+//    excludes. (The base latency_jitter can still swap two sends made at
+//    the same instant; DESIGN.md §6.3 finding 1 covers that case.)
 //
 // A disabled perturbation (seed == 0, the default) leaves the engine
 // byte-identical to one that never heard of this header: the tie key stays

@@ -5,7 +5,7 @@
 namespace olb::sim {
 
 ShardedEngine::ShardedEngine(NetworkConfig config, std::uint64_t seed,
-                             int num_peers, int num_shards, bool threaded) {
+                             int num_peers, int num_shards) {
   OLB_CHECK(num_peers >= 1);
   OLB_CHECK(num_shards >= 1);
   int k = std::min(num_shards, num_peers);
@@ -35,7 +35,6 @@ ShardedEngine::ShardedEngine(NetworkConfig config, std::uint64_t seed,
   }
   lookahead_ = std::max<Time>(
       1, cluster_aligned && k >= 2 ? config.inter_latency : config.intra_latency);
-  threaded_ = threaded && k >= 2;
   engines_.reserve(static_cast<std::size_t>(k));
   for (int s = 0; s < k; ++s) {
     auto engine = std::make_unique<Engine>(config, seed);
@@ -63,8 +62,7 @@ int ShardedEngine::add_actor(std::unique_ptr<Actor> actor) {
 Engine::RunResult ShardedEngine::run(Time time_limit,
                                      std::uint64_t event_limit) {
   if (num_shards() == 1) {
-    // Identity path: one Engine over the whole peer range, one run() call —
-    // byte-identical to the unsharded simulator (CI enforces this).
+    // One Engine over the whole peer range, one run() call: no windows.
     return engines_[0]->run(time_limit, event_limit);
   }
   Engine::RunResult total;
@@ -73,7 +71,7 @@ Engine::RunResult ShardedEngine::run(Time time_limit,
   // Seed every shard's start wakes up front: the window base below is the
   // min of next_event_time() across shards, which must already see them.
   for (auto& e : engines_) e->schedule_startup();
-  if (threaded_ && workers_.empty()) start_workers();
+  if (workers_.empty()) start_workers();
   for (;;) {
     drain_outboxes();
     Time t = kTimeMax;
@@ -85,14 +83,12 @@ Engine::RunResult ShardedEngine::run(Time time_limit,
     if (t > time_limit || remaining == 0) break;
     window_end_ = std::min(time_limit, t + (lookahead_ - 1));
     window_budget_ = remaining;
-    if (threaded_) {
+    {
       std::unique_lock<std::mutex> lk(mu_);
       pending_ = num_shards();
       ++generation_;
       work_cv_.notify_all();
       done_cv_.wait(lk, [this] { return pending_ == 0; });
-    } else {
-      for (int s = 0; s < num_shards(); ++s) run_shard_window(s);
     }
     ++windows_;
     std::uint64_t window_events = 0;
@@ -181,10 +177,6 @@ const std::vector<Time>& ShardedEngine::busy_histogram() const {
     for (std::size_t i = 0; i < h.size(); ++i) merged_busy_[i] += h[i];
   }
   return merged_busy_;
-}
-
-void ShardedEngine::enable_queue_delay_stats() {
-  for (auto& e : engines_) e->enable_queue_delay_stats();
 }
 
 Time ShardedEngine::queueing_delay_max() const {

@@ -29,9 +29,10 @@
 // bit-identical to running the shards one after another. A run is still a
 // pure function of (actors, config, seed, shard count).
 //
-// Identity: with a single shard there is exactly one Engine, configured over
-// the whole peer range, and run() forwards to it verbatim — byte-identical
-// timelines to the unsharded engine, which CI enforces on pinned seeds.
+// Single shard: there is exactly one Engine, configured over the whole peer
+// range, and run() forwards to it verbatim. This is the simulator's default
+// configuration (lb::run_distributed always drives a ShardedEngine), and CI
+// pins its timeline with a committed trace digest.
 // With k >= 2 the timeline is deterministic but *different* (each shard owns
 // a jitter RNG stream), so only schedule-independent outputs — e.g. exact
 // UTS unit counts — are comparable across shard counts.
@@ -53,11 +54,10 @@ class ShardedEngine {
   /// Splits `num_peers` into (at most) `num_shards` contiguous shards.
   /// When the topology has clusters, shards own whole clusters and the
   /// shard count is clamped to the cluster count; use num_shards() for the
-  /// effective value. `threaded` selects the worker-pool execution path
-  /// (identical results either way; the serial path exists for tests and
-  /// for single-shard runs, which bypass the window loop entirely).
+  /// effective value. With k >= 2 shards the windows run on a worker pool
+  /// (one thread per shard); a single shard bypasses the window loop.
   ShardedEngine(NetworkConfig config, std::uint64_t seed, int num_peers,
-                int num_shards, bool threaded = true);
+                int num_shards);
   ~ShardedEngine();
 
   ShardedEngine(const ShardedEngine&) = delete;
@@ -87,14 +87,13 @@ class ShardedEngine {
   /// Number of conservative windows executed so far (1 window == 1 barrier).
   std::uint64_t windows_run() const { return windows_; }
 
-  // --- aggregated Engine mirrors (the lb driver reads these; see
-  // driver.cpp's templated metric tail) ---
+  // --- aggregated Engine mirrors (the lb driver's metric harvest reads
+  // these) ---
   Time now() const;
   std::uint64_t total_messages() const;
   std::uint64_t total_sent_of_type(int type) const;
   /// Bucket-wise sum of the per-shard busy histograms (same kBusyBucket).
   const std::vector<Time>& busy_histogram() const;
-  void enable_queue_delay_stats();
   Time queueing_delay_max() const;
   double queueing_delay_mean() const;
   std::uint64_t msgs_dropped() const;
@@ -109,9 +108,8 @@ class ShardedEngine {
   // --- single-shard-only features ---
   // Tracing, metrics, faults, perturbation and bug plants all assume one
   // global event order (or per-pair link state sized to the local actor
-  // count), so the driver declines them for k >= 2; the k == 1 forwarding
-  // keeps the CI byte-identity gate honest (shards=1 runs carry the full
-  // instrument set of the unsharded engine).
+  // count), so the driver declines them for k >= 2; with k == 1 they
+  // forward to the one engine, which carries the full instrument set.
   void set_tracer(trace::TraceSink* tracer);
   trace::TraceSink* tracer() const { return engines_[0]->tracer(); }
   void set_metrics(metrics::MetricsHub* hub);
@@ -123,8 +121,8 @@ class ShardedEngine {
   /// the simulator's own share of the bytes-per-peer budget.
   std::size_t queue_memory_bytes() const;
 
-  /// Lifecycle pass-throughs (no-ops on the simulator; kept so the driver's
-  /// templated run path treats both engine types uniformly).
+  /// Lifecycle pass-throughs (no-ops on the simulator; kept so the driver
+  /// honours the Transport lifecycle contract).
   void transport_start() {
     for (auto& e : engines_) e->transport_start();
   }
@@ -142,8 +140,7 @@ class ShardedEngine {
   /// shard-id order (the deterministic cross-shard FIFO).
   void drain_outboxes();
 
-  /// Runs shard s through the current window. Called from the coordinator
-  /// (serial mode) or a pinned worker thread (threaded mode).
+  /// Runs shard s through the current window, on shard s's worker thread.
   void run_shard_window(int s);
 
   void start_workers();
@@ -154,7 +151,6 @@ class ShardedEngine {
   std::vector<std::unique_ptr<Engine>> engines_;
   int next_id_ = 0;
   std::uint64_t windows_ = 0;
-  bool threaded_ = false;
 
   // Window state shared with the worker pool (all barrier-synchronised;
   // workers only touch their own engine between barriers).

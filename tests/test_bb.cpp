@@ -300,6 +300,25 @@ TEST(IntervalExplorer, RecorderCapturesOptimalPermutation) {
   EXPECT_EQ(inst.makespan(result.permutation), result.optimum);
 }
 
+TEST(BestSolution, EqualMakespanTieIsOrderIndependent) {
+  // Parallel peers (or socket ranks merging results) offer equally good
+  // schedules in arbitrary order; the incumbent must not depend on it.
+  const std::vector<int> lo = {0, 2, 1, 3};
+  const std::vector<int> hi = {1, 0, 3, 2};
+  BestSolution forward;
+  forward.offer(100, lo);
+  forward.offer(100, hi);
+  BestSolution backward;
+  backward.offer(100, hi);
+  backward.offer(100, lo);
+  EXPECT_EQ(forward.permutation(), lo);
+  EXPECT_EQ(backward.permutation(), lo);
+  // A strictly better makespan still wins regardless of the permutation.
+  backward.offer(99, hi);
+  EXPECT_EQ(backward.makespan(), 99);
+  EXPECT_EQ(backward.permutation(), hi);
+}
+
 // -------------------------------------------------------------- work adapter ---
 
 TEST(BBWork, SplitConservesIntervalLength) {

@@ -307,5 +307,26 @@ TEST(OverlayLb, LargerDegreeNoSlowerOnBalancedLoad) {
   EXPECT_LT(time_with(10), time_with(2));
 }
 
+// ------------------------------------------------------ regression anchors ---
+
+TEST(OverlayRegression, StaleUpwardReportsDoNotWedgeBTDTermination) {
+  // Latency jitter can swap two upward requests a peer sends at the same
+  // simulated instant. These BTD schedules (instance index, peers, seed)
+  // once let the older report overwrite the newer (sent, recv) aggregates
+  // at the parent; the root's counters then never balanced, no termination
+  // wave launched, and the run spun on bridge retries until the watchdog.
+  const std::tuple<int, int, std::uint64_t> cases[] = {
+      {2, 128, 5}, {0, 128, 48}, {3, 128, 37}, {2, 400, 20}};
+  for (const auto& [index, n, seed] : cases) {
+    const auto inst = bb::FlowshopInstance::ta20x20_scaled(index, 10, 6);
+    const auto reference = bb::solve_sequential(inst, bb::BoundKind::kOneMachine);
+    bb::BBWorkload workload(inst, bb::BoundKind::kOneMachine, bb::CostModel{});
+    const auto metrics = lb::run_distributed(
+        workload, base_config(lb::Strategy::kOverlayBTD, n, 10, seed, 2'000'000));
+    ASSERT_TRUE(metrics.ok) << "instance " << index << " n=" << n << " seed=" << seed;
+    EXPECT_EQ(metrics.best_bound, reference.optimum);
+  }
+}
+
 }  // namespace
 }  // namespace olb
