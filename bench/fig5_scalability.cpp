@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
         parse_strategy_list(flags.get("big_strategies"), false, "big_strategies");
     std::printf("== UTS scale ladder (--shards=%d requested) ==\n", rf.sim_shards);
     Table big({"n", "strat", "shards", "windows", "wall_s", "sim_s", "Mevents",
-               "rss_peak_mb", "bytes_per_peer"});
+               "rss_peak_mb", "bytes_per_peer", "queue_B/peer", "actor_B"});
     std::string json_runs;
     for (std::int64_t n : flags.get_int_list("big_scales")) {
       for (lb::Strategy strategy : big_strategies) {
@@ -173,6 +173,13 @@ int main(int argc, char** argv) {
         const std::uint64_t rss_peak = support::peak_rss_bytes();
         const double bytes_per_peer =
             static_cast<double>(rss_peak) / static_cast<double>(n);
+        // Where the memory went: the simulator's queues and inbox slab,
+        // the overlay tree, and one peer object (the rest of bytes_per_peer
+        // is per-peer heap state such as work deques and child lists).
+        const double queue_bytes_per_peer =
+            static_cast<double>(metrics.queue_bytes) / static_cast<double>(n);
+        const double overlay_bytes_per_peer =
+            static_cast<double>(metrics.overlay_bytes) / static_cast<double>(n);
         if (print_units) {
           std::printf("# units: fig5 scale n=%lld %s shards=%d units=%llu\n",
                       static_cast<long long>(n), lb::strategy_name(strategy),
@@ -185,8 +192,10 @@ int main(int argc, char** argv) {
                      Table::cell(wall_s, 2), Table::cell(metrics.exec_seconds, 3),
                      Table::cell(static_cast<double>(metrics.events) / 1e6, 1),
                      Table::cell(static_cast<double>(rss_peak) / (1024.0 * 1024.0), 1),
-                     Table::cell(bytes_per_peer, 0)});
-        char buf[640];
+                     Table::cell(bytes_per_peer, 0),
+                     Table::cell(queue_bytes_per_peer, 0),
+                     Table::cell(static_cast<std::int64_t>(metrics.peer_object_bytes))});
+        char buf[800];
         std::snprintf(
             buf, sizeof buf,
             "%s    {\"n\": %lld, \"strategy\": \"%s\", \"shards\": %d, "
@@ -194,7 +203,8 @@ int main(int argc, char** argv) {
             "\"last_compute_seconds\": %.6f, \"events\": %llu, "
             "\"total_messages\": %llu, \"work_requests\": %llu, "
             "\"total_units\": %llu, \"rss_peak_bytes\": %llu, "
-            "\"bytes_per_peer\": %.1f}",
+            "\"bytes_per_peer\": %.1f, \"queue_bytes_per_peer\": %.1f, "
+            "\"overlay_bytes_per_peer\": %.1f, \"actor_bytes\": %llu}",
             json_runs.empty() ? "" : ",\n", static_cast<long long>(n),
             lb::strategy_name(strategy), metrics.sim_shards,
             static_cast<unsigned long long>(metrics.sim_windows), wall_s,
@@ -203,7 +213,9 @@ int main(int argc, char** argv) {
             static_cast<unsigned long long>(metrics.total_messages),
             static_cast<unsigned long long>(metrics.work_requests),
             static_cast<unsigned long long>(metrics.total_units),
-            static_cast<unsigned long long>(rss_peak), bytes_per_peer);
+            static_cast<unsigned long long>(rss_peak), bytes_per_peer,
+            queue_bytes_per_peer, overlay_bytes_per_peer,
+            static_cast<unsigned long long>(metrics.peer_object_bytes));
         json_runs += buf;
       }
     }

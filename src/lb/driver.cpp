@@ -281,6 +281,8 @@ struct BuiltCluster {
   OverlayPeer* overlay_root = nullptr;   ///< set for overlay strategies
   RwsPeer* rws_initiator = nullptr;      ///< set for Strategy::kRWS
   AhmwPeer* ahmw_root = nullptr;         ///< set for Strategy::kAHMW
+  std::size_t overlay_bytes = 0;         ///< tree storage (tree strategies)
+  std::size_t peer_object_bytes = 0;     ///< sizeof one (worker) peer
 };
 
 BuiltCluster build_cluster(sim::ShardedEngine& engine, Workload& workload,
@@ -316,7 +318,10 @@ BuiltCluster build_cluster(sim::ShardedEngine& engine, Workload& workload,
     case Strategy::kOverlayBTD: {
       auto tree =
           std::make_shared<const overlay::TreeOverlay>(make_overlay_tree(config));
-      const OverlayConfig oc = make_overlay_config(config);
+      const auto oc =
+          std::make_shared<const OverlayConfig>(make_overlay_config(config));
+      built.overlay_bytes = tree->memory_bytes();
+      built.peer_object_bytes = sizeof(OverlayPeer);
       for (int i = 0; i < n; ++i) {
         auto peer = std::make_unique<OverlayPeer>(
             tree, oc, i == 0 ? workload.make_root_work() : nullptr, weight_of(i));
@@ -334,6 +339,7 @@ BuiltCluster build_cluster(sim::ShardedEngine& engine, Workload& workload,
       rc.lease_interval = timing.lease_interval;
       // The paper pushes the application to a random node for RWS.
       const int initiator = rws_initiator(config.seed, n);
+      built.peer_object_bytes = sizeof(RwsPeer);
       for (int i = 0; i < n; ++i) {
         auto peer = std::make_unique<RwsPeer>(
             rc, i == initiator ? workload.make_root_work() : nullptr);
@@ -347,6 +353,7 @@ BuiltCluster build_cluster(sim::ShardedEngine& engine, Workload& workload,
       OLB_CHECK_MSG(n >= 2, "MW needs a master and at least one worker");
       auto* factory = dynamic_cast<IntervalWorkload*>(&workload);
       OLB_CHECK_MSG(factory != nullptr, "MW requires an interval workload");
+      built.peer_object_bytes = sizeof(MwWorker);
       MwConfig mc;
       mc.peer = peer_config;
       mc.checkpoint_period = config.mw_checkpoint_period;
@@ -375,6 +382,8 @@ BuiltCluster build_cluster(sim::ShardedEngine& engine, Workload& workload,
       ac.fault_tolerant = ft;
       ac.request_timeout = timing.request_timeout;
       ac.lease_interval = timing.lease_interval;
+      built.overlay_bytes = tree->memory_bytes();
+      built.peer_object_bytes = sizeof(AhmwPeer);
       for (int i = 0; i < n; ++i) {
         auto peer = std::make_unique<AhmwPeer>(
             tree, ac, i == 0 ? workload.make_root_work() : nullptr);
@@ -534,6 +543,10 @@ RunMetrics run_on_engine(sim::ShardedEngine& engine, Workload& workload,
   for (int i = 0; i < engine.num_actors(); ++i) {
     metrics.msgs_per_peer.push_back(engine.stats(i).msgs_sent);
   }
+
+  metrics.queue_bytes = engine.queue_memory_bytes();
+  metrics.overlay_bytes = built.overlay_bytes;
+  metrics.peer_object_bytes = built.peer_object_bytes;
 
   metrics.queueing_delay_mean =
       engine.queueing_delay_mean() / 1e9;  // ns -> s, without truncating

@@ -262,6 +262,15 @@ struct RunMetrics {
   int sim_shards = 1;
   std::uint64_t sim_windows = 0;
 
+  /// Host-side footprint, for "where did the memory go?": heap bytes behind
+  /// the event queues, slabs (inboxes included) and outboxes at the end of
+  /// the run — their high-water mark, since the slabs never shrink — the
+  /// overlay tree's storage (0 without a tree), and the size of one peer
+  /// object (the worker class for MW).
+  std::uint64_t queue_bytes = 0;
+  std::uint64_t overlay_bytes = 0;
+  std::uint64_t peer_object_bytes = 0;
+
   /// --- fault accounting (all zero for fault-free runs) ---
   std::uint64_t msgs_dropped = 0;     ///< control messages destroyed by links
   std::uint64_t msgs_duplicated = 0;  ///< control messages delivered twice

@@ -1,6 +1,9 @@
 #include "lb/overlay_lb.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <map>
+#include <set>
 
 #include "lb/job_work.hpp"
 #include "support/check.hpp"
@@ -20,12 +23,115 @@ bool is_stale_report(const std::pair<std::uint64_t, std::uint64_t>& report,
 
 }  // namespace
 
+// ------------------------------------------------ mode and role state ---
+//
+// Allocated only where used: a plain run's peers carry none of these, and
+// its root carries only RootTerm.
+
+/// A departed child's final transfer counters, kept by its parent so the
+/// subtree aggregates (agg_sent/agg_recv) never lose its contribution.
+/// Phantoms are probed like children (they answer with their live-polled
+/// counters) and receive the termination broadcast, but are never served.
+struct OverlayPeer::PhantomChild {
+  int peer = -1;
+  std::pair<std::uint64_t, std::uint64_t> agg{0, 0};  ///< (sent, recv)
+};
+
+/// Elastic membership (config_->churn enabled).
+struct OverlayPeer::ChurnState {
+  sim::Time join_at = -1;   ///< this peer's scheduled join (dormant peers)
+  sim::Time leave_at = -1;  ///< this peer's scheduled leave (members)
+  bool leave_timer_armed = false;
+  bool leave_pending = false;  ///< leave deferred until the chunk ends
+  /// Joins accepted + leaves absorbed here; summed across termination waves
+  /// so the root can tell churn happened between two otherwise clean waves.
+  std::uint64_t member_events = 0;
+  std::vector<PhantomChild> phantoms;
+  /// kJoinReq accepted before this node finished its own converge-cast;
+  /// processed in become_ready().
+  std::vector<std::pair<int, std::uint64_t>> parked_joins;  ///< (id, weight)
+};
+
+/// Multi-job service mode (config_->service.enabled).
+struct OverlayPeer::SvcState {
+  /// Per-job transfer counters of THIS peer: job -> (pieces sent, received).
+  /// Monotone, like the bridge/ft counters; ordered so wave payloads are
+  /// assembled in deterministic job order.
+  std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>> counters;
+  // wave state (any node)
+  std::uint64_t probe_id = 0;
+  int probe_parent = -1;
+  int acks_missing = 0;
+  std::map<std::uint64_t, JobStat> table;  ///< subtree aggregate
+  // root-only
+  bool wave_outstanding = false;
+  std::uint64_t next_wave = 0;
+  std::set<std::uint64_t> injected;  ///< kJobInject processed here
+  std::set<std::uint64_t> done;      ///< wave-confirmed and reported
+  /// A job's qualifying reading from the previous wave: done needs the next
+  /// wave to agree (same sent, consecutive wave ids).
+  struct Prev {
+    std::uint64_t sent = 0;
+    std::uint64_t wave = 0;
+  };
+  std::map<std::uint64_t, Prev> prev;
+  bool shutdown = false;  ///< gate declared the stream exhausted
+};
+
+/// Fault tolerance (config_->fault_tolerant).
+struct OverlayPeer::FtState {
+  std::vector<char> peer_down;  ///< peers known to have crashed
+  std::int64_t down_req_seq = 0;  ///< generation of the kReqDown timeout
+};
+
+/// The root's termination-wave bookkeeping.
+struct OverlayPeer::RootTerm {
+  bool probe_outstanding = false;
+  bool have_clean_probe = false;
+  bool recheck_after_probe = false;
+  int clean_epoch = 0;
+  sim::Time probe_launched_at = 0;
+  sim::Time last_wave_end = 0;
+  std::uint64_t next_probe_id = 0;
+  std::uint64_t clean_s = 0;
+  std::uint64_t clean_r = 0;
+  std::uint64_t clean_me = 0;  ///< member-events sum of the clean wave
+};
+
 OverlayPeer::OverlayPeer(std::shared_ptr<const overlay::TreeOverlay> tree,
-                         OverlayConfig config, std::unique_ptr<Work> initial_work,
+                         std::shared_ptr<const OverlayConfig> config,
+                         std::unique_ptr<Work> initial_work,
                          std::uint64_t capacity_weight)
-    : PeerBase(config.peer), tree_(std::move(tree)), config_(config),
+    : PeerBase(config->peer), tree_(std::move(tree)), config_(std::move(config)),
       initial_work_(std::move(initial_work)), weight_(capacity_weight) {
   OLB_CHECK(weight_ >= 1);
+  if (config_->churn.enabled()) churn_ = std::make_unique<ChurnState>();
+  if (config_->service.enabled) svc_ = std::make_unique<SvcState>();
+  if (config_->fault_tolerant) ft_ = std::make_unique<FtState>();
+}
+
+OverlayPeer::~OverlayPeer() = default;
+
+std::uint64_t OverlayPeer::member_events() const {
+  return churn_ != nullptr ? churn_->member_events : 0;
+}
+
+const std::vector<OverlayPeer::PhantomChild>& OverlayPeer::phantoms() const {
+  static const std::vector<PhantomChild> kNone;
+  return churn_ != nullptr ? churn_->phantoms : kNone;
+}
+
+OverlayPeer::RootTerm& OverlayPeer::root_term() {
+  if (root_ == nullptr) root_ = std::make_unique<RootTerm>();
+  return *root_;
+}
+
+bool OverlayPeer::known_down(int peer) const {
+  return ft_ != nullptr && ft_->peer_down[static_cast<std::size_t>(peer)] != 0;
+}
+
+void OverlayPeer::void_down_timeout() {
+  if (ft_ != nullptr) ++ft_->down_req_seq;
 }
 
 std::size_t OverlayPeer::child_index(int child_id) const {
@@ -48,7 +154,7 @@ void OverlayPeer::trace_queue_depth() {
   const auto depth =
       static_cast<std::int64_t>(
           std::count(pending_child_.begin(), pending_child_.end(), true)) +
-      static_cast<std::int64_t>(pending_bridges_.size());
+      static_cast<std::int64_t>(pending_bridge_count());
   emit_trace(trace::EventKind::kQueueDepth, -1, 0, depth);
 }
 
@@ -67,7 +173,7 @@ void OverlayPeer::send_work(int dst, std::unique_ptr<Work> w, int req_type,
     // record the tagged transfer for the conservation oracle.
     const JobBag::Slot& slot = static_cast<JobBag*>(w.get())->sole_slot();
     job_tag = static_cast<std::int64_t>(slot.job);
-    ++svc_counters_[slot.job].first;
+    ++svc_->counters[slot.job].first;
     emit_trace(trace::EventKind::kJobXfer, dst, static_cast<std::int32_t>(slot.job),
                amount_milli(w->amount()), req_type);
   }
@@ -85,24 +191,24 @@ void OverlayPeer::on_start() {
   // unconditionally would cost n bytes per peer — n^2 across the run, which
   // at n = 10^5 is the whole memory budget (10 GB). Fault-free runs carry an
   // empty vector instead (on_peer_down tolerates the missing slots).
-  if (config_.fault_tolerant) {
-    peer_down_.assign(static_cast<std::size_t>(num_peers()), 0);
+  if (config_->fault_tolerant) {
+    ft_->peer_down.assign(static_cast<std::size_t>(num_peers()), 0);
   }
   if (churn_enabled()) {
-    for (const ChurnEvent& e : config_.churn.events) {
+    for (const ChurnEvent& e : config_->churn.events) {
       if (e.peer != id()) continue;
-      if (e.join) join_at_ = e.time; else leave_at_ = e.time;
+      if (e.join) churn_->join_at = e.time; else churn_->leave_at = e.time;
     }
-    if (id() >= config_.churn.initial_peers) {
+    if (id() >= config_->churn.initial_peers) {
       // Dormant peer: sits outside the overlay until its scheduled join.
       member_ = false;
-      OLB_CHECK_MSG(join_at_ >= 0, "dormant peer without a scheduled join");
-      set_timer(std::max<sim::Time>(join_at_ - now(), 0), kOverlayJoinTimer);
+      OLB_CHECK_MSG(churn_->join_at >= 0, "dormant peer without a scheduled join");
+      set_timer(std::max<sim::Time>(churn_->join_at - now(), 0), kOverlayJoinTimer);
       return;
     }
-    if (leave_at_ >= 0) {
-      leave_timer_armed_ = true;
-      set_timer(std::max<sim::Time>(leave_at_ - now(), 0), kOverlayLeaveTimer);
+    if (churn_->leave_at >= 0) {
+      churn_->leave_timer_armed = true;
+      set_timer(std::max<sim::Time>(churn_->leave_at - now(), 0), kOverlayLeaveTimer);
     }
   }
   parent_ = is_root() ? -1 : tree_->parent(id());
@@ -114,7 +220,7 @@ void OverlayPeer::on_start() {
     // dormant ids out of the child lists yields a connected subtree.
     children_.erase(std::remove_if(children_.begin(), children_.end(),
                                    [this](int c) {
-                                     return c >= config_.churn.initial_peers;
+                                     return c >= config_->churn.initial_peers;
                                    }),
                     children_.end());
   }
@@ -131,10 +237,10 @@ void OverlayPeer::on_start() {
       send(parent(), make_msg(kSizeUp, static_cast<std::int64_t>(my_size_)));
     }
   }
-  if (config_.fault_tolerant && !is_root()) {
+  if (config_->fault_tolerant && !is_root()) {
     // Retransmit kSizeUp until the start signal arrives (covers a dropped
     // converge-cast message in either direction).
-    set_timer(config_.request_timeout, kOverlaySetupTimer);
+    set_timer(config_->request_timeout, kOverlaySetupTimer);
   }
 }
 
@@ -143,14 +249,14 @@ void OverlayPeer::on_size_up(const sim::Message& m) {
   if (idx == kNpos) {
     // Under churn a rewired child introduces itself with kSizeUp before the
     // leaver's kLeave handover lands here (the two race on disjoint links).
-    OLB_CHECK_MSG(config_.fault_tolerant || churn_enabled(),
+    OLB_CHECK_MSG(config_->fault_tolerant || churn_enabled(),
                   "message from a non-child peer");
     idx = adopt_child(m.src, 0);
   }
   // A duplicated or retransmitted kSizeUp is a refresh: update the size and
   // re-send the start signal if we already have it.
   const bool refresh = ready_ || child_size_[idx] != 0;
-  OLB_CHECK_MSG(config_.fault_tolerant || churn_enabled() || !refresh,
+  OLB_CHECK_MSG(config_->fault_tolerant || churn_enabled() || !refresh,
                 "duplicate kSizeUp");
   child_size_[idx] = static_cast<std::uint64_t>(m.b);
   if (refresh) {
@@ -169,7 +275,7 @@ void OverlayPeer::finish_converge_cast() {
   // The distributed converge-cast must agree with the static overlay
   // (capacity weights deliberately diverge from plain node counts; crashes
   // and dormant peers are removed from the count).
-  OLB_CHECK(config_.capacity_weighted || config_.fault_tolerant ||
+  OLB_CHECK(config_->capacity_weighted || config_->fault_tolerant ||
             churn_enabled() || my_size_ == tree_->subtree_size(id()));
   if (is_root()) {
     become_ready();
@@ -190,20 +296,20 @@ void OverlayPeer::become_ready() {
   for (int c : children_) {
     send(c, make_msg(kSizeDown, static_cast<std::int64_t>(my_size_)));
   }
-  if (config_.fault_tolerant || (churn_enabled() && is_root())) {
+  if (config_->fault_tolerant || (churn_enabled() && is_root())) {
     // FT: every peer leases its protocol state. Churn: the root alone must
     // re-poll — a join or leave changes no transfer counter, so no kReqUp
     // refresh reaches the root; without this tick a membership event that
     // dirties the confirming wave would hang the run (nothing else would
     // ever relaunch the pair).
-    set_timer(config_.lease_interval, kOverlayLeaseTimer);
+    set_timer(config_->lease_interval, kOverlayLeaseTimer);
   }
   if (is_root()) {
     if (svc_enabled()) {
       // Workless start: the gate streams jobs in. The wave timer is the
       // root's only self-driven cadence — it launches per-job accounting
       // waves while jobs are in flight and dies with termination.
-      set_timer(config_.service.wave_interval, kOverlayJobWaveTimer);
+      set_timer(config_->service.wave_interval, kOverlayJobWaveTimer);
       start_idle_episode();
     } else {
       OLB_CHECK(acquire_work(std::move(initial_work_)));
@@ -213,9 +319,9 @@ void OverlayPeer::become_ready() {
     start_idle_episode();
   }
   // Joins that arrived mid-converge-cast were parked; adopt them now.
-  if (!parked_joins_.empty()) {
-    const auto parked = std::move(parked_joins_);
-    parked_joins_.clear();
+  if (churn_ != nullptr && !churn_->parked_joins.empty()) {
+    const auto parked = std::move(churn_->parked_joins);
+    churn_->parked_joins.clear();
     for (const auto& [joiner, weight] : parked) accept_join(joiner, weight);
   }
 }
@@ -236,14 +342,14 @@ void OverlayPeer::start_idle_episode() {
 
 void OverlayPeer::send_bridge_request() {
   const int n = fleet_size();  // the service gate is never a bridge partner
-  if (!config_.use_bridges || n < 2) return;
-  if (config_.fault_tolerant && crash_epoch_ >= n - 1) return;  // no live partner
+  if (!config_->use_bridges || n < 2) return;
+  if (config_->fault_tolerant && crash_epoch_ >= n - 1) return;  // no live partner
   // At most one bridge request is ever parked: if the previous partner has
   // not served us yet it still will the moment it acquires work (idle peers
   // cooperate by chaining parked requests — the paper's "logical cluster of
   // idle nodes"), so re-sending would only multiply work transfers.
   if (bridge_target_ != -1) {
-    if (now() - bridge_sent_at_ < config_.bridge_patience) return;
+    if (now() - bridge_sent_at_ < config_->bridge_patience) return;
     // Abandon the parked request (it may still be served later — the work
     // simply merges in) and sample a new partner.
     bridge_target_ = -1;
@@ -251,7 +357,7 @@ void OverlayPeer::send_bridge_request() {
   int u;
   do {
     u = static_cast<int>(rng().below(static_cast<std::uint64_t>(n)));
-  } while (u == id() || (config_.fault_tolerant && peer_down_[u] != 0));
+  } while (u == id() || known_down(u));
   bridge_target_ = u;
   bridge_sent_at_ = now();
   emit_trace(trace::EventKind::kRequest, u, kReqBridge);
@@ -284,12 +390,12 @@ void OverlayPeer::advance_down() {
     awaiting_child_ = c;
     emit_trace(trace::EventKind::kRequest, c, kReqDown);
     send(c, make_msg(kReqDown, 0, episode_));
-    if (config_.fault_tolerant) {
+    if (config_->fault_tolerant) {
       // A lost kReqDown or kNoWork would park this peer forever; after the
       // timeout the silence is treated as kNoWork. The sequence number in
       // the tag voids timers whose request was in fact answered.
-      set_timer(config_.request_timeout,
-                kOverlayReqTimeoutTimer | (++down_req_seq_ << kTimerTagShift));
+      set_timer(config_->request_timeout,
+                kOverlayReqTimeoutTimer | (++ft_->down_req_seq << kTimerTagShift));
     }
     return;
   }
@@ -312,13 +418,13 @@ void OverlayPeer::maybe_send_up() {
   // In bridge mode an idle peer keeps sampling random bridge partners while
   // it waits — work may re-enter its subtree only over a bridge, and the
   // pure tree protocol would otherwise sit passive until termination.
-  if (config_.use_bridges && !terminated_) arm_retry_timer();
+  if (config_->use_bridges && !terminated_) arm_retry_timer();
 }
 
 void OverlayPeer::arm_retry_timer() {
   if (retry_timer_armed_) return;
   retry_timer_armed_ = true;
-  set_timer(config_.retry_delay, kOverlayRetryTimer);
+  set_timer(config_->retry_delay, kOverlayRetryTimer);
 }
 
 void OverlayPeer::send_up_request() {
@@ -342,17 +448,17 @@ void OverlayPeer::on_timer(std::int64_t tag) {
   }
   switch (tag & kTimerTagMask) {
     case kOverlayLeaveTimer:
-      leave_timer_armed_ = false;
+      churn_->leave_timer_armed = false;
       if (terminated_) return;
       if (!ready_) {
         // Setup has not completed yet; a member cannot unwind links it has
         // not announced. Retry shortly — converge-casts finish fast.
-        leave_timer_armed_ = true;
-        set_timer(config_.retry_delay, kOverlayLeaveTimer);
+        churn_->leave_timer_armed = true;
+        set_timer(config_->retry_delay, kOverlayLeaveTimer);
         return;
       }
       if (computing()) {
-        leave_pending_ = true;  // after_chunk() picks it up
+        churn_->leave_pending = true;  // after_chunk() picks it up
         return;
       }
       begin_leave();
@@ -365,8 +471,8 @@ void OverlayPeer::on_timer(std::int64_t tag) {
       return;
     case kOverlayReqTimeoutTimer: {
       if (terminated_ || !idle_ || awaiting_child_ == -1) return;
-      if ((tag >> kTimerTagShift) != down_req_seq_) return;  // answered
-      count_retry(awaiting_child_, kReqDown, down_req_seq_);
+      if ((tag >> kTimerTagShift) != ft_->down_req_seq) return;  // answered
+      count_retry(awaiting_child_, kReqDown, ft_->down_req_seq);
       awaiting_child_ = -1;
       ++down_pos_;
       advance_down();
@@ -378,7 +484,7 @@ void OverlayPeer::on_timer(std::int64_t tag) {
         count_retry(parent(), kSizeUp, 0);
         send(parent(), make_msg(kSizeUp, static_cast<std::int64_t>(my_size_)));
       }
-      set_timer(config_.request_timeout, kOverlaySetupTimer);
+      set_timer(config_->request_timeout, kOverlaySetupTimer);
       return;
     case kOverlayLeaseTimer:
       on_lease_tick();
@@ -387,10 +493,10 @@ void OverlayPeer::on_timer(std::int64_t tag) {
       // Per-job accounting cadence (service mode, root only). Stops re-arming
       // once the fleet terminates so the simulation can quiesce.
       if (terminated_) return;
-      if (!svc_wave_outstanding_ && svc_done_.size() < svc_injected_.size()) {
+      if (!svc_->wave_outstanding && svc_->done.size() < svc_->injected.size()) {
         svc_launch_wave();
       }
-      set_timer(config_.service.wave_interval, kOverlayJobWaveTimer);
+      set_timer(config_->service.wave_interval, kOverlayJobWaveTimer);
       return;
     default:
       OLB_CHECK_MSG(false, "unexpected timer tag for OverlayPeer");
@@ -400,7 +506,7 @@ void OverlayPeer::on_timer(std::int64_t tag) {
 // -------------------------------------------------------------- serving ---
 
 double OverlayPeer::apply_policy(double proportional) const {
-  switch (config_.split) {
+  switch (config_->split) {
     case SplitPolicy::kSubtreeProportional:
       return proportional;
     case SplitPolicy::kHalf:
@@ -408,7 +514,7 @@ double OverlayPeer::apply_policy(double proportional) const {
     case SplitPolicy::kFixedUnits: {
       const double amount = work_ != nullptr ? work_->amount() : 0.0;
       if (amount <= 0.0) return 0.0;
-      return static_cast<double>(config_.fixed_units) / amount;
+      return static_cast<double>(config_->fixed_units) / amount;
     }
   }
   return proportional;
@@ -485,16 +591,12 @@ void OverlayPeer::on_req_up(const sim::Message& m) {
       // A departed peer refreshing its phantom ledger (after forwarding a
       // late work delivery): update the counters, never mark it pending —
       // phantoms are polled, not served.
-      for (PhantomChild& ph : phantoms_) {
+      for (PhantomChild& ph : churn_->phantoms) {
         if (ph.peer != m.src) continue;
         ph.agg.first = std::max(ph.agg.first, static_cast<std::uint64_t>(m.b));
         ph.agg.second = std::max(ph.agg.second, static_cast<std::uint64_t>(m.c));
         if (is_root()) {
-          if (probe_outstanding_) {
-            recheck_after_probe_ = true;
-          } else {
-            check_root_termination();
-          }
+          poke_root_termination();
         } else if (idle_ && up_requested_ &&
                    std::pair{agg_sent(), agg_recv()} != last_sent_agg_) {
           send_up_request();
@@ -502,7 +604,7 @@ void OverlayPeer::on_req_up(const sim::Message& m) {
         return;
       }
     }
-    OLB_CHECK_MSG(config_.fault_tolerant || churn_enabled(),
+    OLB_CHECK_MSG(config_->fault_tolerant || churn_enabled(),
                   "message from a non-child peer");
     // Under churn: a rewired child racing its leaver's kLeave handover.
     idx = adopt_child(m.src, std::max<std::uint64_t>(
@@ -533,11 +635,7 @@ void OverlayPeer::on_req_up(const sim::Message& m) {
   trace_queue_depth();
 
   if (is_root()) {
-    if (probe_outstanding_) {
-      recheck_after_probe_ = true;
-    } else {
-      check_root_termination();
-    }
+    poke_root_termination();
     return;
   }
   if (idle_ && up_requested_) {
@@ -561,10 +659,18 @@ void OverlayPeer::on_req_bridge(const sim::Message& m) {
     }
   }
   emit_trace(trace::EventKind::kNoServe, m.src, kReqBridge);
-  for (const auto& [peer, size] : pending_bridges_) {
-    if (peer == m.src) return;  // already pending here
+  for (std::size_t i = bridge_head_; i < pending_bridges_.size(); ++i) {
+    if (pending_bridges_[i].peer == m.src) return;  // already pending here
   }
-  pending_bridges_.emplace_back(m.src, static_cast<std::uint64_t>(m.b));
+  OLB_CHECK_MSG(m.b >= 0 && m.b <= std::numeric_limits<std::uint32_t>::max(),
+                "bridge requester's subtree size exceeds 32 bits");
+  if (bridge_head_ > 0 && pending_bridges_.size() == pending_bridges_.capacity()) {
+    // Reuse the served prefix instead of growing the buffer.
+    pending_bridges_.erase(pending_bridges_.begin(),
+                           pending_bridges_.begin() + bridge_head_);
+    bridge_head_ = 0;
+  }
+  pending_bridges_.push_back({m.src, static_cast<std::uint32_t>(m.b)});
   trace_queue_depth();
 }
 
@@ -584,7 +690,7 @@ void OverlayPeer::on_work(sim::Message m) {
     // the accounting waves and record the merge for the oracle before the
     // acquire consumes the piece.
     const auto job = static_cast<std::uint64_t>(m.c);
-    ++svc_counters_[job].second;
+    ++svc_->counters[job].second;
     emit_trace(trace::EventKind::kJobMerge, m.src, static_cast<std::int32_t>(job),
                amount_milli(payload->work->amount()), m.b);
   }
@@ -608,26 +714,26 @@ void OverlayPeer::serve_pending() {
     served_any = true;
     send_work(children_[i], std::move(w), kReqUp, fraction);
   }
-  while (!pending_bridges_.empty()) {
-    const auto [peer, size] = pending_bridges_.front();
-    const double fraction = fraction_for_bridge(size);
+  while (pending_bridge_count() > 0) {
+    const BridgeRequest req = pending_bridges_[bridge_head_];
+    const double fraction = fraction_for_bridge(req.size);
     auto w = split_work(fraction);
     if (w == nullptr) {
       if (served_any) trace_queue_depth();
       return;
     }
-    pending_bridges_.erase(pending_bridges_.begin());
+    if (++bridge_head_ == pending_bridges_.size()) drop_pending_bridges();
     ++bridge_sent_;
     served_any = true;
-    send_work(peer, std::move(w), kReqBridge, fraction);
+    send_work(req.peer, std::move(w), kReqBridge, fraction);
   }
   if (served_any) trace_queue_depth();
 }
 
 void OverlayPeer::after_chunk() {
   if (svc_enabled()) svc_emit_chunks();
-  if (leave_pending_) {
-    leave_pending_ = false;
+  if (churn_ != nullptr && churn_->leave_pending) {
+    churn_->leave_pending = false;
     if (!terminated_ && member_) {
       begin_leave();
       return;
@@ -681,10 +787,10 @@ void OverlayPeer::on_join_req(sim::Message m) {
   const int joiner = static_cast<int>(m.c);
   const auto weight = static_cast<std::uint64_t>(m.b);
   if (!ready_) {
-    parked_joins_.emplace_back(joiner, weight);
+    churn_->parked_joins.emplace_back(joiner, weight);
     return;
   }
-  if (static_cast<int>(children_.size()) < config_.join_degree) {
+  if (static_cast<int>(children_.size()) < config_->join_degree) {
     accept_join(joiner, weight);
     return;
   }
@@ -712,7 +818,7 @@ void OverlayPeer::accept_join(int joiner, std::uint64_t weight) {
   OLB_CHECK(churn_enabled() && ready_ && member_);
   if (child_index(joiner) != kNpos) return;  // duplicate request, already in
   adopt_child(joiner, weight);
-  ++member_events_;
+  ++churn_->member_events;
   dirty_outstanding_probe();
   // The new child starts non-pending, which blocks the termination condition
   // until its first upward request integrates it into the quiet proof.
@@ -729,9 +835,9 @@ void OverlayPeer::on_join_accept(const sim::Message& m) {
   my_size_ = weight_;
   emit_trace(trace::EventKind::kMemberJoin, parent_, 0,
              static_cast<std::int64_t>(weight_));
-  if (leave_at_ >= 0) {
-    leave_timer_armed_ = true;
-    set_timer(std::max<sim::Time>(leave_at_ - now(), 0), kOverlayLeaveTimer);
+  if (churn_->leave_at >= 0) {
+    churn_->leave_timer_armed = true;
+    set_timer(std::max<sim::Time>(churn_->leave_at - now(), 0), kOverlayLeaveTimer);
   }
   start_idle_episode();
 }
@@ -761,8 +867,8 @@ void OverlayPeer::begin_leave() {
                                  pending_child_[i] != false,
                                  child_agg_[i].first, child_agg_[i].second});
   }
-  payload->phantoms.reserve(phantoms_.size());
-  for (const PhantomChild& ph : phantoms_) {
+  payload->phantoms.reserve(churn_->phantoms.size());
+  for (const PhantomChild& ph : churn_->phantoms) {
     payload->phantoms.push_back({ph.peer, ph.agg.first, ph.agg.second});
   }
   payload->sent = own_sent();
@@ -783,8 +889,8 @@ void OverlayPeer::begin_leave() {
   child_size_.clear();
   pending_child_.clear();
   child_agg_.clear();
-  pending_bridges_.clear();
-  phantoms_.clear();
+  drop_pending_bridges();
+  churn_->phantoms.clear();
   bridge_target_ = -1;
 }
 
@@ -792,7 +898,7 @@ void OverlayPeer::on_leave(sim::Message m) {
   const auto* lp = static_cast<const LeavePayload*>(m.payload.get());
   OLB_CHECK(lp != nullptr);
   const int leaver = static_cast<int>(m.c);  // src is rewritten on forwards
-  ++member_events_;
+  ++churn_->member_events;
   dirty_outstanding_probe();
   const std::size_t idx = child_index(leaver);
   if (idx != kNpos) {
@@ -804,17 +910,18 @@ void OverlayPeer::on_leave(sim::Message m) {
   }
   // Keep the leaver's final counters as a phantom child: subtree aggregates
   // retain its contribution, probes keep polling it directly.
-  phantoms_.push_back({leaver, {lp->sent, lp->recv}});
+  std::vector<PhantomChild>& phantoms = churn_->phantoms;
+  phantoms.push_back({leaver, {lp->sent, lp->recv}});
   for (const auto& ph : lp->phantoms) {
     bool known = false;
-    for (PhantomChild& mine : phantoms_) {
+    for (PhantomChild& mine : phantoms) {
       if (mine.peer != ph.peer) continue;
       mine.agg.first = std::max(mine.agg.first, ph.sent);
       mine.agg.second = std::max(mine.agg.second, ph.recv);
       known = true;
       break;
     }
-    if (!known) phantoms_.push_back({ph.peer, {ph.sent, ph.recv}});
+    if (!known) phantoms.push_back({ph.peer, {ph.sent, ph.recv}});
   }
   apply_size_delta(-static_cast<std::int64_t>(m.b), /*forward_up=*/true);
   // Merge the transferred child links. A child may have introduced itself
@@ -839,15 +946,11 @@ void OverlayPeer::on_leave(sim::Message m) {
     // answer) out of departed_dispatch, but advance defensively.
     awaiting_child_ = -1;
     ++down_pos_;
-    ++down_req_seq_;
+    void_down_timeout();
     advance_down();
   }
   if (is_root()) {
-    if (probe_outstanding_) {
-      recheck_after_probe_ = true;
-    } else {
-      check_root_termination();
-    }
+    poke_root_termination();
   } else if (idle_ && up_requested_) {
     if (std::pair{agg_sent(), agg_recv()} != last_sent_agg_) send_up_request();
   } else if (idle_ && awaiting_child_ == -1) {
@@ -908,7 +1011,7 @@ void OverlayPeer::departed_dispatch(sim::Message m) {
       ack->bridge_recv = own_recv();
       ack->dirty = false;
       ack->crash_epoch = crash_epoch_;
-      ack->member_events = member_events_;
+      ack->member_events = member_events();
       msg.payload = std::move(ack);
       send(m.src, std::move(msg));
       break;
@@ -998,7 +1101,7 @@ int OverlayPeer::nearest_live_ancestor(int peer_id) const {
   // Root crashes are rejected by the driver, so the walk terminates.
   OLB_CHECK(peer_id != tree_->root());
   int p = tree_->parent(peer_id);
-  while (p != tree_->root() && peer_down_[static_cast<std::size_t>(p)] != 0) {
+  while (p != tree_->root() && ft_->peer_down[static_cast<std::size_t>(p)] != 0) {
     p = tree_->parent(p);
   }
   return p;
@@ -1018,7 +1121,7 @@ void OverlayPeer::rebuild_children() {
   std::vector<int> now_children;
   for (int j = 0; j < n; ++j) {
     if (j == id() || j == tree_->root()) continue;  // the root has no parent
-    if (peer_down_[static_cast<std::size_t>(j)] != 0) continue;
+    if (ft_->peer_down[static_cast<std::size_t>(j)] != 0) continue;
     if (nearest_live_ancestor(j) == id()) now_children.push_back(j);
   }
   std::vector<std::uint64_t> sizes;
@@ -1055,18 +1158,20 @@ void OverlayPeer::rebuild_children() {
 }
 
 void OverlayPeer::on_peer_down(int peer) {
-  OLB_CHECK(config_.fault_tolerant);
+  OLB_CHECK(config_->fault_tolerant);
   const auto pidx = static_cast<std::size_t>(peer);
-  if (pidx >= peer_down_.size() || peer_down_[pidx] != 0) return;
-  peer_down_[pidx] = 1;
+  if (pidx >= ft_->peer_down.size() || ft_->peer_down[pidx] != 0) return;
+  ft_->peer_down[pidx] = 1;
   ++crash_epoch_;
   if (terminated_) return;
-  if (is_root()) have_clean_probe_ = false;  // wave pairs must share an epoch
+  if (is_root()) root_term().have_clean_probe = false;  // pairs share an epoch
   if (bridge_target_ == peer) bridge_target_ = -1;
   pending_bridges_.erase(
-      std::remove_if(pending_bridges_.begin(), pending_bridges_.end(),
-                     [peer](const auto& pb) { return pb.first == peer; }),
+      std::remove_if(pending_bridges_.begin() + bridge_head_,
+                     pending_bridges_.end(),
+                     [peer](const BridgeRequest& r) { return r.peer == peer; }),
       pending_bridges_.end());
+  if (pending_bridge_count() == 0) drop_pending_bridges();
   // Subtree sizes along the crashed peer's ancestor path used to stay stale
   // until the next converge-cast refresh (which fault recovery never runs),
   // skewing every split fraction computed from them. Decrement the local
@@ -1102,7 +1207,7 @@ void OverlayPeer::on_peer_down(int peer) {
     // The pending downward request can never be answered now.
     awaiting_child_ = -1;
     ++down_pos_;
-    ++down_req_seq_;  // void the outstanding timeout
+    void_down_timeout();
     advance_down();
   }
   if (idle_ && awaiting_child_ == -1 && !terminated_) arm_retry_timer();
@@ -1111,11 +1216,12 @@ void OverlayPeer::on_peer_down(int peer) {
 void OverlayPeer::on_lease_tick() {
   if (terminated_) return;  // no re-arm: the timer dies with the protocol
   if (is_root()) {
-    if (probe_outstanding_ &&
-        now() - probe_launched_at_ >= config_.lease_interval) {
+    RootTerm& rt = root_term();
+    if (rt.probe_outstanding &&
+        now() - rt.probe_launched_at >= config_->lease_interval) {
       // The wave lost a message (or its relay crashed); abandon it.
       count_retry(-1, kProbe, static_cast<std::int64_t>(cur_probe_));
-      probe_outstanding_ = false;
+      rt.probe_outstanding = false;
       probe_acks_missing_ = 0;
     }
     check_root_termination();
@@ -1125,7 +1231,7 @@ void OverlayPeer::on_lease_tick() {
     count_retry(parent(), kReqUp, 0);
     send_up_request();
   }
-  set_timer(config_.lease_interval, kOverlayLeaseTimer);
+  set_timer(config_->lease_interval, kOverlayLeaseTimer);
 }
 
 // ---------------------------------------------------------- termination ---
@@ -1138,25 +1244,25 @@ void OverlayPeer::on_lease_tick() {
 // and the departed peer's counted forward only starts at receipt), so the
 // four-counter rule must see all work to keep the Mattern argument sound.
 std::uint64_t OverlayPeer::own_sent() const {
-  return config_.fault_tolerant || churn_enabled() ? ft_sent_ : bridge_sent_;
+  return config_->fault_tolerant || churn_enabled() ? ft_sent_ : bridge_sent_;
 }
 
 std::uint64_t OverlayPeer::own_recv() const {
-  return config_.fault_tolerant || churn_enabled() ? ft_recv_ : bridge_recv_;
+  return config_->fault_tolerant || churn_enabled() ? ft_recv_ : bridge_recv_;
 }
 
 
 std::uint64_t OverlayPeer::agg_sent() const {
   std::uint64_t s = own_sent();
   for (const auto& [cs, cr] : child_agg_) s += cs;
-  for (const PhantomChild& ph : phantoms_) s += ph.agg.first;
+  for (const PhantomChild& ph : phantoms()) s += ph.agg.first;
   return s;
 }
 
 std::uint64_t OverlayPeer::agg_recv() const {
   std::uint64_t r = own_recv();
   for (const auto& [cs, cr] : child_agg_) r += cr;
-  for (const PhantomChild& ph : phantoms_) r += ph.agg.second;
+  for (const PhantomChild& ph : phantoms()) r += ph.agg.second;
   return r;
 }
 
@@ -1164,26 +1270,27 @@ void OverlayPeer::check_root_termination() {
   if (!is_root() || terminated_) return;
   // Service mode: the gate owns end-of-stream. Until it says kSvcShutdown
   // more jobs may still be injected, so global quiescence means nothing.
-  if (svc_enabled() && !svc_shutdown_) return;
+  if (svc_enabled() && !svc_->shutdown) return;
   if (!locally_quiet() || !all_children_pending()) return;
-  if (config_.fault_tolerant) {
+  RootTerm& rt = root_term();
+  if (config_->fault_tolerant) {
     // Unreliable links can leave pending flags stale, so even pure tree
     // mode must confirm termination with counter waves.
-    if (probe_outstanding_) {
-      recheck_after_probe_ = true;
+    if (rt.probe_outstanding) {
+      rt.recheck_after_probe = true;
       return;
     }
     if (crash_epoch_ == 0 && agg_sent() != agg_recv()) return;
     // Pace the confirming wave one lease after the previous one: every
     // transfer in flight during wave k has landed (and bumped a receive
     // counter) before wave k+1 polls its receiver.
-    if (have_clean_probe_ && now() - last_wave_end_ < config_.lease_interval) {
+    if (rt.have_clean_probe && now() - rt.last_wave_end < config_->lease_interval) {
       return;  // the lease timer re-checks
     }
     launch_probe();
     return;
   }
-  if (!config_.use_bridges && !churn_enabled()) {
+  if (!config_->use_bridges && !churn_enabled()) {
     // Pure tree mode: a child's upward request proves its whole subtree is
     // finished, so the condition alone is exact. Under churn that proof
     // breaks — a serve can be in flight to a peer that already left (its
@@ -1192,8 +1299,8 @@ void OverlayPeer::check_root_termination() {
     declare_termination();
     return;
   }
-  if (probe_outstanding_) {
-    recheck_after_probe_ = true;
+  if (rt.probe_outstanding) {
+    rt.recheck_after_probe = true;
     return;
   }
   if (agg_sent() == agg_recv()) launch_probe();
@@ -1201,17 +1308,27 @@ void OverlayPeer::check_root_termination() {
   // subtree will re-idle and refresh its upward request, re-triggering us.
 }
 
+void OverlayPeer::poke_root_termination() {
+  RootTerm& rt = root_term();
+  if (rt.probe_outstanding) {
+    rt.recheck_after_probe = true;
+  } else {
+    check_root_termination();
+  }
+}
+
 void OverlayPeer::launch_probe() {
-  probe_outstanding_ = true;
-  probe_launched_at_ = now();
-  recheck_after_probe_ = false;
-  cur_probe_ = ++next_probe_id_;
+  RootTerm& rt = root_term();
+  rt.probe_outstanding = true;
+  rt.probe_launched_at = now();
+  rt.recheck_after_probe = false;
+  cur_probe_ = ++rt.next_probe_id;
   probe_s_ = own_sent();
   probe_r_ = own_recv();
-  probe_me_ = member_events_;
+  probe_me_ = member_events();
   probe_dirty_ = false;
   probe_epoch_ = crash_epoch_;
-  probe_acks_missing_ = static_cast<int>(children_.size() + phantoms_.size());
+  probe_acks_missing_ = static_cast<int>(children_.size() + phantoms().size());
   emit_trace(trace::EventKind::kProbeWave, -1, 0,
              static_cast<std::int64_t>(cur_probe_));
   if (probe_acks_missing_ == 0) {
@@ -1229,7 +1346,7 @@ void OverlayPeer::launch_probe() {
   // Phantoms are polled directly: the departed peer answers with its *true*
   // counters, so a stale phantom ledger can only block termination (the
   // pre-wave gate), never falsely balance it.
-  for (const PhantomChild& ph : phantoms_) probe(ph.peer);
+  for (const PhantomChild& ph : phantoms()) probe(ph.peer);
 }
 
 void OverlayPeer::on_probe(sim::Message m) {
@@ -1253,10 +1370,10 @@ void OverlayPeer::on_probe(sim::Message m) {
   probe_parent_ = m.src;
   probe_s_ = own_sent();
   probe_r_ = own_recv();
-  probe_me_ = member_events_;
+  probe_me_ = member_events();
   probe_dirty_ = false;
   probe_epoch_ = crash_epoch_;
-  probe_acks_missing_ = static_cast<int>(children_.size() + phantoms_.size());
+  probe_acks_missing_ = static_cast<int>(children_.size() + phantoms().size());
   if (probe_acks_missing_ == 0) {
     auto msg = make_msg(kProbeAck);
     auto payload = std::make_unique<ProbePayload>();
@@ -1278,7 +1395,7 @@ void OverlayPeer::on_probe(sim::Message m) {
     send(dst, std::move(msg));
   };
   for (int c : children_) probe(c);
-  for (const PhantomChild& ph : phantoms_) probe(ph.peer);
+  for (const PhantomChild& ph : phantoms()) probe(ph.peer);
 }
 
 void OverlayPeer::on_probe_ack(sim::Message m) {
@@ -1310,19 +1427,21 @@ void OverlayPeer::on_probe_ack(sim::Message m) {
 
 void OverlayPeer::on_metrics(metrics::Registry& registry) {
   PeerBase::on_metrics(registry);
-  if (is_root()) m_wave_ = registry.histogram("olb_term_wave_ns", id());
+  if (is_root()) instruments()->wave = registry.histogram("olb_term_wave_ns", id());
 }
 
 void OverlayPeer::finish_probe_at_root(std::uint64_t s, std::uint64_t r, bool dirty) {
-  probe_outstanding_ = false;
-  last_wave_end_ = now();
+  RootTerm& rt = root_term();
+  rt.probe_outstanding = false;
+  rt.last_wave_end = now();
   // Wave latency = launch at the root to the last ack folding back in.
-  if (m_wave_ != nullptr) [[unlikely]] {
-    const sim::Time lat = last_wave_end_ - probe_launched_at_;
-    metrics::record(m_wave_, static_cast<std::uint64_t>(lat > 0 ? lat : 0));
+  if (const metrics::PeerInstruments* mi = instruments(); mi != nullptr)
+      [[unlikely]] {
+    const sim::Time lat = rt.last_wave_end - rt.probe_launched_at;
+    metrics::record(mi->wave, static_cast<std::uint64_t>(lat > 0 ? lat : 0));
   }
   const bool still_quiet = locally_quiet() && all_children_pending();
-  if (config_.fault_tolerant) {
+  if (config_->fault_tolerant) {
     const int epoch = std::max(probe_epoch_, crash_epoch_);
     // With a known crash the crashed peer's counter contributions are gone
     // for good, so balance is only required while epoch == 0; stability
@@ -1334,21 +1453,21 @@ void OverlayPeer::finish_probe_at_root(std::uint64_t s, std::uint64_t r, bool di
                static_cast<std::int64_t>(cur_probe_),
                static_cast<std::int64_t>(s) - static_cast<std::int64_t>(r));
     if (clean) {
-      if (have_clean_probe_ && clean_s_ == s && clean_r_ == r &&
-          clean_epoch_ == epoch) {
+      if (rt.have_clean_probe && rt.clean_s == s && rt.clean_r == r &&
+          rt.clean_epoch == epoch) {
         declare_termination();
         return;
       }
-      have_clean_probe_ = true;
-      clean_s_ = s;
-      clean_r_ = r;
-      clean_epoch_ = epoch;
+      rt.have_clean_probe = true;
+      rt.clean_s = s;
+      rt.clean_r = r;
+      rt.clean_epoch = epoch;
       // The confirming wave launches from the lease timer, one lease later.
       return;
     }
-    have_clean_probe_ = false;
-    if (recheck_after_probe_) {
-      recheck_after_probe_ = false;
+    rt.have_clean_probe = false;
+    if (rt.recheck_after_probe) {
+      rt.recheck_after_probe = false;
       check_root_termination();
     }
     return;
@@ -1358,8 +1477,8 @@ void OverlayPeer::finish_probe_at_root(std::uint64_t s, std::uint64_t r, bool di
              static_cast<std::int64_t>(cur_probe_),
              static_cast<std::int64_t>(s) - static_cast<std::int64_t>(r));
   if (clean) {
-    if (have_clean_probe_ && clean_s_ == s && clean_r_ == r &&
-        clean_me_ == probe_me_) {
+    if (rt.have_clean_probe && rt.clean_s == s && rt.clean_r == r &&
+        rt.clean_me == probe_me_) {
       // Mattern four-counter rule: two consecutive clean waves with
       // identical balanced counters — no transfer can be in flight. Under
       // churn the waves must also agree on the membership-event sum: a
@@ -1368,16 +1487,16 @@ void OverlayPeer::finish_probe_at_root(std::uint64_t s, std::uint64_t r, bool di
       declare_termination();
       return;
     }
-    have_clean_probe_ = true;
-    clean_s_ = s;
-    clean_r_ = r;
-    clean_me_ = probe_me_;
+    rt.have_clean_probe = true;
+    rt.clean_s = s;
+    rt.clean_r = r;
+    rt.clean_me = probe_me_;
     launch_probe();
     return;
   }
-  have_clean_probe_ = false;
-  if (recheck_after_probe_) {
-    recheck_after_probe_ = false;
+  rt.have_clean_probe = false;
+  if (rt.recheck_after_probe) {
+    rt.recheck_after_probe = false;
     check_root_termination();
   }
 }
@@ -1388,9 +1507,9 @@ void OverlayPeer::declare_termination() {
   done_time_ = now();
   emit_trace(trace::EventKind::kTerminated);
   for (int c : children_) send(c, make_msg(kTerminate));
-  for (const PhantomChild& ph : phantoms_) send(ph.peer, make_msg(kTerminate));
+  for (const PhantomChild& ph : phantoms()) send(ph.peer, make_msg(kTerminate));
   // The gate sits outside the tree; tell it directly so it can exit.
-  if (svc_enabled()) send(config_.service.gate, make_msg(kTerminate));
+  if (svc_enabled()) send(config_->service.gate, make_msg(kTerminate));
 }
 
 void OverlayPeer::on_terminate() {
@@ -1400,9 +1519,9 @@ void OverlayPeer::on_terminate() {
   done_time_ = now();
   emit_trace(trace::EventKind::kTerminated);
   idle_ = false;
-  pending_bridges_.clear();
+  drop_pending_bridges();
   for (int c : children_) send(c, make_msg(kTerminate));
-  for (const PhantomChild& ph : phantoms_) send(ph.peer, make_msg(kTerminate));
+  for (const PhantomChild& ph : phantoms()) send(ph.peer, make_msg(kTerminate));
 }
 
 // ------------------------------------------------ multi-job service mode ---
@@ -1437,9 +1556,9 @@ void OverlayPeer::on_job_inject(sim::Message m) {
   const std::uint64_t job = jp->job;
   // Done-eligibility is restricted to injected jobs: a wave that ran while
   // this inject was in flight must not declare the job done-by-absence.
-  svc_injected_.insert(job);
+  svc_->injected.insert(job);
   // The inject is not a peer transfer (the gate sits outside the fleet), so
-  // it does not bump svc_counters_ — waves stay sent == recv symmetric. The
+  // it does not bump svc_->counters — waves stay sent == recv symmetric. The
   // oracle's transfer balance instead pairs the gate's kJobXfer with this:
   emit_trace(trace::EventKind::kJobMerge, m.src, static_cast<int>(job),
              amount_milli(jp->work->amount()), 0);
@@ -1454,9 +1573,9 @@ void OverlayPeer::on_job_inject(sim::Message m) {
 }
 
 void OverlayPeer::svc_fill_own_stats() {
-  svc_table_.clear();
-  for (const auto& [job, sr] : svc_counters_) {
-    JobStat& st = svc_table_[job];
+  svc_->table.clear();
+  for (const auto& [job, sr] : svc_->counters) {
+    JobStat& st = svc_->table[job];
     st.job = job;
     st.sent = sr.first;
     st.recv = sr.second;
@@ -1464,7 +1583,7 @@ void OverlayPeer::svc_fill_own_stats() {
   const JobBag* b = bag();
   if (b != nullptr) {
     b->for_each_hold([&](std::uint64_t job, double amount) {
-      JobStat& st = svc_table_[job];
+      JobStat& st = svc_->table[job];
       st.job = job;
       st.holds_milli += amount_milli(amount);
     });
@@ -1473,18 +1592,18 @@ void OverlayPeer::svc_fill_own_stats() {
 
 void OverlayPeer::svc_launch_wave() {
   OLB_CHECK(is_root());
-  svc_wave_outstanding_ = true;
-  svc_probe_id_ = ++svc_next_wave_;
+  svc_->wave_outstanding = true;
+  svc_->probe_id = ++svc_->next_wave;
   svc_fill_own_stats();
-  svc_acks_missing_ = static_cast<int>(children_.size());
-  if (svc_acks_missing_ == 0) {
+  svc_->acks_missing = static_cast<int>(children_.size());
+  if (svc_->acks_missing == 0) {
     svc_finish_wave_at_root();
     return;
   }
   for (int c : children_) {
     auto msg = make_msg(kJobProbe);
     auto payload = std::make_unique<JobProbePayload>();
-    payload->probe_id = svc_probe_id_;
+    payload->probe_id = svc_->probe_id;
     msg.payload = std::move(payload);
     send(c, std::move(msg));
   }
@@ -1494,18 +1613,18 @@ void OverlayPeer::on_job_probe(sim::Message m) {
   OLB_CHECK(svc_enabled());
   if (terminated_) return;
   const auto* pp = static_cast<const JobProbePayload*>(m.payload.get());
-  svc_probe_id_ = pp->probe_id;
-  svc_probe_parent_ = m.src;
+  svc_->probe_id = pp->probe_id;
+  svc_->probe_parent = m.src;
   svc_fill_own_stats();
-  svc_acks_missing_ = static_cast<int>(children_.size());
-  if (svc_acks_missing_ == 0) {
+  svc_->acks_missing = static_cast<int>(children_.size());
+  if (svc_->acks_missing == 0) {
     svc_reply_wave();
     return;
   }
   for (int c : children_) {
     auto msg = make_msg(kJobProbe);
     auto payload = std::make_unique<JobProbePayload>();
-    payload->probe_id = svc_probe_id_;
+    payload->probe_id = svc_->probe_id;
     msg.payload = std::move(payload);
     send(c, std::move(msg));
   }
@@ -1515,15 +1634,15 @@ void OverlayPeer::on_job_probe_ack(sim::Message m) {
   OLB_CHECK(svc_enabled());
   if (terminated_) return;
   const auto* pp = static_cast<const JobProbePayload*>(m.payload.get());
-  if (pp->probe_id != svc_probe_id_ || svc_acks_missing_ == 0) return;  // stale
+  if (pp->probe_id != svc_->probe_id || svc_->acks_missing == 0) return;  // stale
   for (const JobStat& st : pp->stats) {
-    JobStat& mine = svc_table_[st.job];
+    JobStat& mine = svc_->table[st.job];
     mine.job = st.job;
     mine.sent += st.sent;
     mine.recv += st.recv;
     mine.holds_milli += st.holds_milli;
   }
-  if (--svc_acks_missing_ > 0) return;
+  if (--svc_->acks_missing > 0) return;
   if (is_root()) {
     svc_finish_wave_at_root();
   } else {
@@ -1534,40 +1653,40 @@ void OverlayPeer::on_job_probe_ack(sim::Message m) {
 void OverlayPeer::svc_reply_wave() {
   auto msg = make_msg(kJobProbeAck);
   auto payload = std::make_unique<JobProbePayload>();
-  payload->probe_id = svc_probe_id_;
-  payload->stats.reserve(svc_table_.size());
-  for (const auto& [job, st] : svc_table_) payload->stats.push_back(st);
+  payload->probe_id = svc_->probe_id;
+  payload->stats.reserve(svc_->table.size());
+  for (const auto& [job, st] : svc_->table) payload->stats.push_back(st);
   msg.payload = std::move(payload);
-  send(svc_probe_parent_, std::move(msg));
+  send(svc_->probe_parent, std::move(msg));
 }
 
 void OverlayPeer::svc_finish_wave_at_root() {
-  svc_wave_outstanding_ = false;
-  const std::uint64_t wave = svc_next_wave_;
-  for (const std::uint64_t job : svc_injected_) {
-    if (svc_done_.count(job) != 0) continue;
+  svc_->wave_outstanding = false;
+  const std::uint64_t wave = svc_->next_wave;
+  for (const std::uint64_t job : svc_->injected) {
+    if (svc_->done.count(job) != 0) continue;
     JobStat zero;
     zero.job = job;
-    const auto it = svc_table_.find(job);
-    const JobStat& st = it != svc_table_.end() ? it->second : zero;
+    const auto it = svc_->table.find(job);
+    const JobStat& st = it != svc_->table.end() ? it->second : zero;
     // A job the counters never saw (injected and fully drained at the root
     // between waves) reads sent == recv == 0, holds == 0: still a correct
     // quiet reading — the stability pair below does the rest.
     const bool quiet = st.holds_milli == 0 && st.sent == st.recv;
     if (!quiet) {
-      svc_prev_.erase(job);
+      svc_->prev.erase(job);
       continue;
     }
-    const auto prev = svc_prev_.find(job);
-    if (prev != svc_prev_.end() && prev->second.wave == wave - 1 &&
+    const auto prev = svc_->prev.find(job);
+    if (prev != svc_->prev.end() && prev->second.wave == wave - 1 &&
         prev->second.sent == st.sent) {
-      svc_done_.insert(job);
-      svc_prev_.erase(job);
-      send(config_.service.gate,
+      svc_->done.insert(job);
+      svc_->prev.erase(job);
+      send(config_->service.gate,
            make_msg(kJobDone, 0, static_cast<std::int64_t>(job)));
       continue;
     }
-    svc_prev_[job] = SvcPrev{st.sent, wave};
+    svc_->prev[job] = SvcState::Prev{st.sent, wave};
   }
 }
 
@@ -1575,8 +1694,7 @@ void OverlayPeer::svc_finish_wave_at_root() {
 
 void OverlayPeer::on_message(sim::Message m) {
   if (m.type != kTerminate) handle_piggyback(m);
-  if (config_.fault_tolerant && m.src >= 0 &&
-      peer_down_[static_cast<std::size_t>(m.src)] != 0 && m.type != kWork) {
+  if (m.src >= 0 && known_down(m.src) && m.type != kWork) {
     // In-flight message from a peer we know crashed. Work is still real and
     // must be kept (it bounces back off the dead peer); everything else is
     // protocol state of a dead participant.
@@ -1613,7 +1731,7 @@ void OverlayPeer::on_message(sim::Message m) {
       }
       return;
     }
-    if (config_.fault_tolerant && m.type != kTerminate) {
+    if (config_->fault_tolerant && m.type != kTerminate) {
       // The sender evidently missed the broadcast (e.g. its kTerminate was
       // dropped); its own lease retransmit reached us, so answer it.
       send(m.src, make_msg(kTerminate));
@@ -1636,7 +1754,7 @@ void OverlayPeer::on_message(sim::Message m) {
       if (idle_ && awaiting_child_ == m.src && m.c == episode_) {
         awaiting_child_ = -1;
         ++down_pos_;
-        ++down_req_seq_;  // void the fault-tolerance timeout, if armed
+        void_down_timeout();
         advance_down();
       }
       break;
@@ -1649,7 +1767,7 @@ void OverlayPeer::on_message(sim::Message m) {
     case kJobProbeAck: on_job_probe_ack(std::move(m)); break;
     case kSvcShutdown:
       OLB_CHECK(svc_enabled() && is_root());
-      svc_shutdown_ = true;
+      svc_->shutdown = true;
       check_root_termination();
       break;
     default: OLB_CHECK_MSG(false, "unexpected message type for OverlayPeer");
@@ -1660,7 +1778,7 @@ StateTap OverlayPeer::state_tap() const {
   StateTap t = PeerBase::state_tap();
   t.transfers_sent = ft_sent_;
   t.transfers_recv = ft_recv_;
-  t.pending_requests = pending_bridges_.size();
+  t.pending_requests = pending_bridge_count();
   t.subtree_size = my_size_;
   return t;
 }

@@ -101,9 +101,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -199,13 +197,24 @@ struct OverlayConfig {
   sim::Time lease_interval = sim::milliseconds(2);
 };
 
+/// An overlay peer's state is split by temperature. The object itself holds
+/// what every peer of a plain run touches: tree position, idle episode,
+/// serving queues, transfer counters and the termination-wave relay. State
+/// that only a mode or a role needs lives in components allocated when that
+/// mode is on (service, churn, fault tolerance) or on the peer that has the
+/// role (the root's wave bookkeeping), and the configuration is one shared
+/// immutable copy — at 10^5+ peers the object's size is the per-peer budget
+/// (docs/SCALING.md).
 class OverlayPeer final : public PeerBase {
  public:
   /// `initial_work` must be non-null exactly for the overlay root (peer 0).
   /// `capacity_weight` is this peer's logical compute power (1 for
   /// homogeneous clusters; scale by relative speed in heterogeneous ones).
-  OverlayPeer(std::shared_ptr<const overlay::TreeOverlay> tree, OverlayConfig config,
+  /// Every peer of a run shares `config`.
+  OverlayPeer(std::shared_ptr<const overlay::TreeOverlay> tree,
+              std::shared_ptr<const OverlayConfig> config,
               std::unique_ptr<Work> initial_work, std::uint64_t capacity_weight = 1);
+  ~OverlayPeer() override;
 
   // --- post-run inspection ---
   bool protocol_terminated() const { return terminated_; }
@@ -221,7 +230,7 @@ class OverlayPeer final : public PeerBase {
   /// delta machinery must keep it consistent across churn and crashes).
   std::uint64_t subtree_size_estimate() const { return my_size_; }
   /// Membership events (joins accepted + leaves absorbed) witnessed here.
-  std::uint64_t member_events() const { return member_events_; }
+  std::uint64_t member_events() const;
 
   StateTap state_tap() const override;
 
@@ -278,7 +287,7 @@ class OverlayPeer final : public PeerBase {
   double clamp_fraction(double raw, int req_type);
   /// Applies the conformance-harness bug plant (planted_split_bias) *after*
   /// clamping so the sanitiser cannot mask it; identity when unset.
-  double biased(double f) const { return f + config_.planted_split_bias; }
+  double biased(double f) const { return f + config_->planted_split_bias; }
   double fraction_for_child(std::size_t child_idx, int req_type);
   double fraction_for_parent();
   double fraction_for_bridge(std::uint64_t requester_size);
@@ -296,7 +305,7 @@ class OverlayPeer final : public PeerBase {
   bool is_static_ancestor(int anc, int node) const;
 
   // elastic membership (every path below is gated on churn_enabled())
-  bool churn_enabled() const { return config_.churn.enabled(); }
+  bool churn_enabled() const { return churn_ != nullptr; }
   /// Applies a (possibly negative) delta to my_size_ — clamped at the
   /// peer's own weight — and forwards it up the dynamic parent chain, the
   /// incremental replacement for a full converge-cast refresh.
@@ -319,17 +328,17 @@ class OverlayPeer final : public PeerBase {
   void dirty_outstanding_probe();
 
   // multi-job service mode (every path below is gated on svc_enabled())
-  bool svc_enabled() const { return config_.service.enabled; }
+  bool svc_enabled() const { return svc_ != nullptr; }
   /// Peers eligible as bridge partners / tree members: excludes the gate.
   int fleet_size() const {
-    return svc_enabled() ? config_.service.gate : num_peers();
+    return svc_enabled() ? config_->service.gate : num_peers();
   }
   /// The installed JobBag (null when no work). In service mode every
   /// acquire path installs bags only, so the downcast is total.
   JobBag* bag();
   void on_job_inject(sim::Message m);
   void svc_emit_chunks();
-  /// Own (sent, recv, holds) per job into svc_table_.
+  /// Own (sent, recv, holds) per job into the service wave table.
   void svc_fill_own_stats();
   void svc_launch_wave();
   void on_job_probe(sim::Message m);
@@ -337,12 +346,33 @@ class OverlayPeer final : public PeerBase {
   void svc_reply_wave();
   void svc_finish_wave_at_root();
 
+  // fault tolerance
+  /// True when `peer` is known to have crashed (always false without FT).
+  bool known_down(int peer) const;
+  /// Voids the outstanding kReqDown timeout, if one is armed.
+  void void_down_timeout();
+
+  // serving queues
+  std::size_t pending_bridge_count() const {
+    return pending_bridges_.size() - bridge_head_;
+  }
+  void drop_pending_bridges() {
+    pending_bridges_.clear();
+    bridge_head_ = 0;
+  }
+
   // termination
   std::uint64_t own_sent() const;
   std::uint64_t own_recv() const;
   std::uint64_t agg_sent() const;
   std::uint64_t agg_recv() const;
   void check_root_termination();
+  /// Re-runs check_root_termination, or defers it until the outstanding
+  /// wave finishes.
+  void poke_root_termination();
+  struct RootTerm;
+  /// The root's wave bookkeeping, allocated on first use (root only).
+  RootTerm& root_term();
   void launch_probe();
   void on_probe(sim::Message m);
   void on_probe_ack(sim::Message m);
@@ -356,7 +386,7 @@ class OverlayPeer final : public PeerBase {
   }
 
   std::shared_ptr<const overlay::TreeOverlay> tree_;
-  OverlayConfig config_;
+  std::shared_ptr<const OverlayConfig> config_;
   std::unique_ptr<Work> initial_work_;
   std::uint64_t weight_ = 1;
 
@@ -367,82 +397,41 @@ class OverlayPeer final : public PeerBase {
   std::uint64_t parent_size_ = 0;
   int sizes_missing_ = 0;
   bool ready_ = false;
+  bool member_ = true;  ///< false while dormant and after a graceful leave
 
-  // dynamic tree position (diverges from tree_ only after crashes)
+  // dynamic tree position (diverges from tree_ only after crashes or churn)
   int parent_ = -1;
 
   // idle-episode state
   bool idle_ = false;
+  bool up_requested_ = false;
+  bool retry_timer_armed_ = false;
+  int awaiting_child_ = -1;
   std::int64_t episode_ = 0;
   std::vector<int> down_order_;
   std::size_t down_pos_ = 0;
-  int awaiting_child_ = -1;
-  bool up_requested_ = false;
   std::pair<std::uint64_t, std::uint64_t> last_sent_agg_{0, 0};
-  bool retry_timer_armed_ = false;
   int bridge_target_ = -1;
   sim::Time bridge_sent_at_ = 0;
 
   // serving state
   std::vector<bool> pending_child_;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> child_agg_;  ///< (S, R)
-  std::vector<std::pair<int, std::uint64_t>> pending_bridges_;      ///< (peer, T_peer)
+  /// A parked bridge requester: (peer, T_peer), T_peer narrowed (checked)
+  /// to 32 bits. Served front to back from bridge_head_; the served prefix
+  /// is dropped when the queue empties or before it would grow.
+  struct BridgeRequest {
+    int peer;
+    std::uint32_t size;
+  };
+  std::vector<BridgeRequest> pending_bridges_;
+  std::uint32_t bridge_head_ = 0;
 
+  /// Known crashed peers (== set entries in FtState::peer_down).
+  int crash_epoch_ = 0;
   // bridge-transfer counters (monotonic)
   std::uint64_t bridge_sent_ = 0;
   std::uint64_t bridge_recv_ = 0;
-
-  // elastic-membership state
-  bool member_ = true;  ///< false while dormant and after a graceful leave
-  sim::Time join_at_ = -1;   ///< this peer's scheduled join (dormant peers)
-  sim::Time leave_at_ = -1;  ///< this peer's scheduled leave (members)
-  bool leave_timer_armed_ = false;
-  bool leave_pending_ = false;  ///< leave deferred until the chunk ends
-  /// Joins accepted + leaves absorbed here; summed across termination waves
-  /// so the root can tell churn happened between two otherwise clean waves.
-  std::uint64_t member_events_ = 0;
-  /// A departed child's final transfer counters, kept by its parent so the
-  /// subtree aggregates (agg_sent/agg_recv) never lose its contribution.
-  /// Phantoms are probed like children (they answer with their live-polled
-  /// counters) and receive the termination broadcast, but are never served.
-  struct PhantomChild {
-    int peer = -1;
-    std::pair<std::uint64_t, std::uint64_t> agg{0, 0};  ///< (sent, recv)
-  };
-  std::vector<PhantomChild> phantoms_;
-  /// kJoinReq accepted before this node finished its own converge-cast;
-  /// processed in become_ready().
-  std::vector<std::pair<int, std::uint64_t>> parked_joins_;  ///< (id, weight)
-  std::uint64_t probe_me_ = 0;  ///< member-events sum of the current wave
-
-  // service-mode state (all empty/idle unless config_.service.enabled)
-  /// Per-job transfer counters of THIS peer: job -> (pieces sent, received).
-  /// Monotone, like the bridge/ft counters; ordered so wave payloads are
-  /// assembled in deterministic job order.
-  std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>> svc_counters_;
-  // wave state (any node)
-  std::uint64_t svc_probe_id_ = 0;
-  int svc_probe_parent_ = -1;
-  int svc_acks_missing_ = 0;
-  std::map<std::uint64_t, JobStat> svc_table_;  ///< subtree aggregate
-  // root-only service state
-  bool svc_wave_outstanding_ = false;
-  std::uint64_t svc_next_wave_ = 0;
-  std::set<std::uint64_t> svc_injected_;  ///< kJobInject processed here
-  std::set<std::uint64_t> svc_done_;      ///< wave-confirmed and reported
-  /// A job's qualifying reading from the previous wave: done needs the next
-  /// wave to agree (same sent, consecutive wave ids).
-  struct SvcPrev {
-    std::uint64_t sent = 0;
-    std::uint64_t wave = 0;
-  };
-  std::map<std::uint64_t, SvcPrev> svc_prev_;
-  bool svc_shutdown_ = false;  ///< gate declared the stream exhausted
-
-  // fault-tolerance state
-  std::vector<char> peer_down_;   ///< peers known to have crashed
-  int crash_epoch_ = 0;           ///< == count of set entries in peer_down_
-  std::int64_t down_req_seq_ = 0; ///< generation of the kReqDown timeout
   // All work transfers, not just bridges: with unreliable links the pending
   // flags can go stale, so FT termination waves count every serve.
   std::uint64_t ft_sent_ = 0;
@@ -450,26 +439,25 @@ class OverlayPeer final : public PeerBase {
 
   // probe state (any node)
   std::uint64_t cur_probe_ = 0;
-  int probe_parent_ = -1;
-  int probe_acks_missing_ = 0;
   std::uint64_t probe_s_ = 0;
   std::uint64_t probe_r_ = 0;
-  bool probe_dirty_ = false;
+  std::uint64_t probe_me_ = 0;  ///< member-events sum of the current wave
+  int probe_parent_ = -1;
+  int probe_acks_missing_ = 0;
   int probe_epoch_ = 0;
+  bool probe_dirty_ = false;
 
-  // root-only termination state
-  bool probe_outstanding_ = false;
-  sim::Time probe_launched_at_ = 0;
-  /// Root-only wave-latency histogram (null unless metrics attached).
-  metrics::Histogram* m_wave_ = nullptr;
-  sim::Time last_wave_end_ = 0;
-  std::uint64_t next_probe_id_ = 0;
-  bool have_clean_probe_ = false;
-  std::uint64_t clean_s_ = 0;
-  std::uint64_t clean_r_ = 0;
-  int clean_epoch_ = 0;
-  std::uint64_t clean_me_ = 0;  ///< member-events sum of the clean wave
-  bool recheck_after_probe_ = false;
+  // Mode and role components (overlay_lb.cpp), null unless in use.
+  struct ChurnState;
+  struct PhantomChild;
+  struct SvcState;
+  struct FtState;
+  std::unique_ptr<ChurnState> churn_;  ///< config_->churn.enabled()
+  std::unique_ptr<SvcState> svc_;      ///< config_->service.enabled
+  std::unique_ptr<FtState> ft_;        ///< config_->fault_tolerant
+  std::unique_ptr<RootTerm> root_;     ///< the root, once it needs it
+  /// Phantom children of a churn run (empty otherwise).
+  const std::vector<PhantomChild>& phantoms() const;
 
   sim::Time done_time_ = -1;
 };

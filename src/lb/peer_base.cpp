@@ -11,12 +11,12 @@ bool PeerBase::acquire_work(std::unique_ptr<Work> w) {
   // Sojourn metric: close an open idle episode — this acquisition is the
   // work the episode was waiting for. Gated on the instrument so metrics-off
   // runs never pay the now() read (a syscall on the thread backend).
-  if (m_sojourn_ != nullptr && m_idle_since_ >= 0 && !holds_work())
-      [[unlikely]] {
-    const sim::Time waited = now() - m_idle_since_;
-    metrics::record(m_sojourn_,
+  metrics::PeerInstruments* mi = instruments();
+  if (mi != nullptr && mi->idle_since >= 0 && !holds_work()) [[unlikely]] {
+    const sim::Time waited = now() - mi->idle_since;
+    metrics::record(mi->sojourn,
                     static_cast<std::uint64_t>(waited > 0 ? waited : 0));
-    m_idle_since_ = -1;
+    mi->idle_since = -1;
   }
   if (work_ == nullptr) {
     work_ = std::move(w);
@@ -65,8 +65,9 @@ void PeerBase::on_compute_done() {
   } else {
     // Sojourn metric: the idle episode starts when the last local chunk
     // finishes with nothing left, not when a request goes out.
-    if (m_sojourn_ != nullptr && m_idle_since_ < 0) [[unlikely]] {
-      m_idle_since_ = now();
+    metrics::PeerInstruments* mi = instruments();
+    if (mi != nullptr && mi->idle_since < 0) [[unlikely]] {
+      mi->idle_since = now();
     }
     became_idle();
   }
@@ -97,21 +98,23 @@ void PeerBase::count_retry(int target, int msg_type, std::int64_t attempt) {
 
 void PeerBase::on_metrics(metrics::Registry& registry) {
   sim::Actor::on_metrics(registry);
-  m_queue_ = registry.gauge("olb_peer_queue_depth", id());
-  m_inflight_ = registry.gauge("olb_peer_inflight_requests", id());
-  m_units_ = registry.counter("olb_peer_units_total", id());
-  m_sojourn_ = registry.histogram("olb_peer_sojourn_ns", id());
+  metrics::PeerInstruments& mi = *instruments();
+  mi.queue = registry.gauge("olb_peer_queue_depth", id());
+  mi.inflight = registry.gauge("olb_peer_inflight_requests", id());
+  mi.units = registry.counter("olb_peer_units_total", id());
+  mi.sojourn = registry.histogram("olb_peer_sojourn_ns", id());
   // Peers that start without work are idle from t=0: open their first
   // sojourn episode at run start so the initial work distribution shows up.
-  if (!holds_work()) m_idle_since_ = 0;
+  if (!holds_work()) mi.idle_since = 0;
 }
 
 void PeerBase::on_metrics_poll() {
   const StateTap tap = state_tap();
-  m_queue_->set(static_cast<std::int64_t>(tap.work_amount));
-  m_inflight_->set(static_cast<std::int64_t>(tap.pending_requests));
-  m_units_->inc(units_done_ - m_units_reported_);
-  m_units_reported_ = units_done_;
+  metrics::PeerInstruments& mi = *instruments();
+  mi.queue->set(static_cast<std::int64_t>(tap.work_amount));
+  mi.inflight->set(static_cast<std::int64_t>(tap.pending_requests));
+  mi.units->inc(units_done_ - mi.units_reported);
+  mi.units_reported = units_done_;
 }
 
 void PeerBase::maybe_diffuse() {

@@ -235,18 +235,30 @@ class Registry {
   std::vector<std::unique_ptr<Entry>> entries_;
 };
 
-/// Per-actor protocol-event counters, armed by Actor::on_metrics and bumped
-/// at the emit_trace funnel — every protocol already marks requests, serves,
-/// declines, retries and idle episodes there, so deriving the counters at
-/// the funnel instruments all four strategies without touching their code.
-struct ActorEventCounters {
+/// One peer's live-metrics instruments in a single block, allocated by
+/// Actor::on_metrics only when a hub is attached — a metrics-off run pays
+/// one null pointer per actor for all of them.
+struct PeerInstruments {
+  // Protocol-event counters, bumped at the emit_trace funnel — every
+  // protocol already marks requests, serves, declines, retries and idle
+  // episodes there, so deriving the counters at the funnel instruments all
+  // four strategies without touching their code.
   Counter* requests = nullptr;  ///< kRequest (RWS steals, overlay req*, MW asks)
   Counter* serves = nullptr;    ///< kServe
   Counter* declines = nullptr;  ///< kNoServe
   Counter* retries = nullptr;   ///< kRetry
   Counter* idle = nullptr;      ///< kIdleBegin (idle episodes entered)
 
-  bool armed() const { return requests != nullptr; }
+  // Load-balancing peers (lb::PeerBase::on_metrics) add these.
+  Gauge* queue = nullptr;         ///< olb_peer_queue_depth
+  Gauge* inflight = nullptr;      ///< olb_peer_inflight_requests
+  Counter* units = nullptr;       ///< olb_peer_units_total
+  Histogram* sojourn = nullptr;   ///< olb_peer_sojourn_ns
+  std::uint64_t units_reported = 0;
+  std::int64_t idle_since = -1;   ///< sojourn clock; -1 = holding work
+
+  /// The overlay root's termination-wave latency (olb_term_wave_ns).
+  Histogram* wave = nullptr;
 };
 
 // --- the instrumentation-site helpers -------------------------------------

@@ -29,22 +29,22 @@ void Actor::emit_trace(trace::EventKind kind, int peer, int type, std::int64_t a
   // retry/idle moments here, so counting at the funnel instruments all four
   // strategies (and works even when tracing is compiled out or detached).
   if constexpr (metrics::kMetricsCompiled) {
-    if (mcounters_.armed()) [[unlikely]] {
+    if (minst_ != nullptr) [[unlikely]] {
       switch (kind) {
         case trace::EventKind::kRequest:
-          mcounters_.requests->inc();
+          minst_->requests->inc();
           break;
         case trace::EventKind::kServe:
-          mcounters_.serves->inc();
+          minst_->serves->inc();
           break;
         case trace::EventKind::kNoServe:
-          mcounters_.declines->inc();
+          minst_->declines->inc();
           break;
         case trace::EventKind::kRetry:
-          mcounters_.retries->inc();
+          minst_->retries->inc();
           break;
         case trace::EventKind::kIdleBegin:
-          mcounters_.idle->inc();
+          minst_->idle->inc();
           break;
         default:
           break;
@@ -56,11 +56,12 @@ void Actor::emit_trace(trace::EventKind kind, int peer, int type, std::int64_t a
 }
 
 void Actor::on_metrics(metrics::Registry& registry) {
-  mcounters_.requests = registry.counter("olb_peer_requests_total", id_);
-  mcounters_.serves = registry.counter("olb_peer_serves_total", id_);
-  mcounters_.declines = registry.counter("olb_peer_declines_total", id_);
-  mcounters_.retries = registry.counter("olb_peer_retries_total", id_);
-  mcounters_.idle = registry.counter("olb_peer_idle_episodes_total", id_);
+  if (minst_ == nullptr) minst_ = std::make_unique<metrics::PeerInstruments>();
+  minst_->requests = registry.counter("olb_peer_requests_total", id_);
+  minst_->serves = registry.counter("olb_peer_serves_total", id_);
+  minst_->declines = registry.counter("olb_peer_declines_total", id_);
+  minst_->retries = registry.counter("olb_peer_retries_total", id_);
+  minst_->idle = registry.counter("olb_peer_idle_episodes_total", id_);
 }
 
 void Actor::set_timer(Time delay, std::int64_t tag) {
@@ -255,8 +256,10 @@ void Engine::service(Actor& a, Time t) {
     a.started_ = true;
     a.on_start();
   } else if (!a.inbox_.empty()) {
-    Message m = std::move(a.inbox_.front());
-    a.inbox_.pop_front();
+    // Move the message out of its slab slot before any hook runs: handlers
+    // send, and a send may grow (and so move) the slab.
+    Message m = std::move(queue_.front(a.inbox_));
+    queue_.pop_front(a.inbox_);
     ++a.stats_.msgs_received;
     a.busy_until_ = t + config_.msg_handling_cost;
     a.stats_.overhead_time += config_.msg_handling_cost;
@@ -299,16 +302,17 @@ void Engine::service(Actor& a, Time t) {
 Engine::RunResult Engine::run_loop(Time time_limit, std::uint64_t event_limit) {
   RunResult result;
   while (!queue_.empty()) {
-    if (queue_.peek_time() > time_limit || result.events >= event_limit) {
+    const Time t = queue_.peek_time();
+    if (t > time_limit || result.events >= event_limit) {
       return result;  // limit hit; queue intentionally left intact
     }
     // The event is consumed in place: scalars are copied out, an arrival's
-    // message is moved straight into the inbox, and drop_top() recycles the
-    // slot — the Event body itself never moves. `e` is dead after drop_top
-    // (anything that schedules — schedule_wake, service — may reuse the
-    // slot), so each branch drops before it emplaces.
+    // slot is parked on the inbox chain, and drop_top() recycles the others
+    // — the Event body itself never moves. `e` is dead after drop_top or
+    // park_top (anything that schedules — schedule_wake, service — may
+    // reuse or move the slot), so each branch unlinks before it emplaces.
     Event& e = queue_.top();
-    now_ = e.time;
+    now_ = t;
     ++result.events;
     result.end_time = now_;
     if (now_ >= metrics_next_) [[unlikely]] flush_metrics(result.events);
@@ -323,8 +327,7 @@ Engine::RunResult Engine::run_loop(Time time_limit, std::uint64_t event_limit) {
           break;
         }
         e.msg.arrived_at = now_;
-        a.inbox_.push_back(std::move(e.msg));
-        queue_.drop_top();
+        queue_.park_top(a.inbox_);
         if (!a.wake_pending_) {
           schedule_wake(a, a.busy_until_ > now_ ? a.busy_until_ : now_);
         }
@@ -386,12 +389,11 @@ void Engine::apply_crash(int peer) {
   injector_.mark_crashed(peer);
   ++crashes_applied_;
   // Arrived-but-unserviced messages die with the peer; their payloads are
-  // genuinely lost (the sender already considers them delivered).
-  for (std::size_t i = 0; i < a.inbox_.size(); ++i) {
-    const Message& m = a.inbox_.at(i);
+  // genuinely lost (the sender already considers them delivered). Their
+  // slab slots go back to the freelist.
+  queue_.clear(a.inbox_, [this](const Message& m) {
     if (m.payload != nullptr) work_lost_units_ += m.payload->amount();
-  }
-  a.inbox_.clear();
+  });
   const double held = a.on_crashed();
   work_lost_units_ += held;
   trace::emit(tracer_, now_, trace::EventKind::kPeerCrash, peer, -1, 0,

@@ -143,6 +143,8 @@ class Actor {
   /// unless a tracer is attached to the engine).
   void emit_trace(trace::EventKind kind, int peer = -1, int type = 0,
                   std::int64_t a = 0, std::int64_t b = 0);
+  /// This actor's live-metrics block, null unless a hub is attached.
+  metrics::PeerInstruments* instruments() const { return minst_.get(); }
 
  private:
   friend class Engine;
@@ -150,9 +152,11 @@ class Actor {
   friend class olb::runtime::SocketNet;
 
   // Field order packs id_ against the flag block: one 8-byte line holds the
-  // id plus all four bools instead of two half-empty ones — 8 bytes per
-  // actor, which is a whole level of the overlay at 10^6 peers
-  // (docs/SCALING.md has the per-peer budget).
+  // id plus all four bools instead of two half-empty ones. The inbox is two
+  // slot indices into the engine's event slab (simnet/event_queue.hpp), and
+  // the metrics instruments sit behind one pointer, so an actor costs the
+  // same few cache lines whether it is idle, flooded or instrumented — the
+  // per-peer budget is in docs/SCALING.md.
   Transport* transport_ = nullptr;
   double speed_ = 1.0;
   Xoshiro256 rng_;
@@ -163,10 +167,11 @@ class Actor {
   bool compute_pending_ = false;
   bool wake_pending_ = false;
   bool crashed_ = false;
-  MessageRing inbox_;
+  SlotFifo inbox_;
   ActorStats stats_;
-  /// Armed by on_metrics, bumped at the emit_trace funnel (see engine.cpp).
-  metrics::ActorEventCounters mcounters_;
+  /// Armed by on_metrics; the event counters are bumped at the emit_trace
+  /// funnel (see engine.cpp).
+  std::unique_ptr<metrics::PeerInstruments> minst_;
 };
 
 class Engine final : public Transport {
@@ -233,6 +238,10 @@ class Engine final : public Transport {
   Time next_event_time() const {
     return queue_.empty() ? kTimeMax : queue_.peek_time();
   }
+
+  /// High-water mark of event-slab slots (queued events plus messages
+  /// parked in actor inboxes).
+  std::size_t event_slab_high_water() const { return queue_.slab_high_water(); }
 
   /// Bytes of heap storage behind the event queue and remote outbox.
   std::size_t queue_memory_bytes() const {

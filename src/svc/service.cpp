@@ -145,11 +145,13 @@ ServiceMetrics run_service(const ServiceConfig& config) {
 
   auto tree = std::make_shared<const overlay::TreeOverlay>(
       lb::make_overlay_tree(rc));
-  lb::OverlayConfig oc = lb::make_overlay_config(rc);
-  oc.peer.diffuse_bounds = false;
-  oc.service.enabled = true;
-  oc.service.gate = n;  // gate id == fleet size, outside the tree
-  oc.service.wave_interval = config.wave_interval;
+  auto service_config =
+      std::make_shared<lb::OverlayConfig>(lb::make_overlay_config(rc));
+  service_config->peer.diffuse_bounds = false;
+  service_config->service.enabled = true;
+  service_config->service.gate = n;  // gate id == fleet size, outside the tree
+  service_config->service.wave_interval = config.wave_interval;
+  const std::shared_ptr<const lb::OverlayConfig> oc = std::move(service_config);
 
   const int num_classes = static_cast<int>(config.classes.size());
   std::vector<lb::OverlayPeer*> peers;

@@ -26,36 +26,6 @@ double Params::expected_size() const {
   return total;
 }
 
-double NodeState::uniform01() const {
-  return static_cast<double>(random31()) * 0x1.0p-31;
-}
-
-std::uint32_t NodeState::random31() const {
-  std::uint32_t v = 0;
-  // Big-endian read of the first 4 state bytes, truncated to 31 bits —
-  // the same convention as the reference benchmark's rng_rand().
-  for (int i = 0; i < 4; ++i) v = (v << 8) | bytes[static_cast<std::size_t>(i)];
-  return v >> 1;
-}
-
-namespace {
-
-NodeState fast_state(std::uint64_t value) {
-  NodeState s;
-  for (int i = 0; i < 8; ++i) {
-    s.bytes[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(value >> (56 - 8 * i));
-  }
-  return s;
-}
-
-std::uint64_t fast_value(const NodeState& s) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | s.bytes[static_cast<std::size_t>(i)];
-  return v;
-}
-
-}  // namespace
-
 NodeState root_state(const Params& params) {
   if (params.hash == HashMode::kSha1) {
     // Hash the 4-byte big-endian seed, as the reference rng_init does in
@@ -69,34 +39,27 @@ NodeState root_state(const Params& params) {
     s.bytes = Sha1::hash(seed_bytes);
     return s;
   }
-  return fast_state(mix64(0x5554535f726f6f74ull ^ params.root_seed));
+  return detail::fast_state(mix64(0x5554535f726f6f74ull ^ params.root_seed));
 }
 
-NodeState child_state(const Params& params, const NodeState& parent,
-                      std::uint32_t index) {
-  if (params.hash == HashMode::kSha1) {
-    Sha1 h;
-    h.update(parent.bytes.data(), parent.bytes.size());
-    std::array<std::uint8_t, 4> idx_bytes{};
-    for (int i = 0; i < 4; ++i) {
-      idx_bytes[static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>(index >> (24 - 8 * i));
-    }
-    h.update(idx_bytes.data(), idx_bytes.size());
-    NodeState s;
-    s.bytes = h.finish();
-    return s;
+namespace detail {
+
+NodeState sha1_child_state(const NodeState& parent, std::uint32_t index) {
+  Sha1 h;
+  h.update(parent.bytes.data(), parent.bytes.size());
+  std::array<std::uint8_t, 4> idx_bytes{};
+  for (int i = 0; i < 4; ++i) {
+    idx_bytes[static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(index >> (24 - 8 * i));
   }
-  const std::uint64_t parent_value = fast_value(parent);
-  return fast_state(mix64(parent_value ^ mix64(0x63686c64ull + index)));
+  h.update(idx_bytes.data(), idx_bytes.size());
+  NodeState s;
+  s.bytes = h.finish();
+  return s;
 }
 
-int num_children(const Params& params, const NodeState& state, int depth) {
-  if (params.shape == TreeShape::kBinomial) {
-    if (depth == 0) return params.b0;
-    return state.uniform01() < params.q ? params.m : 0;
-  }
-  // Geometric with linear shape.
+int geometric_children(const Params& params, const NodeState& state, int depth) {
+  // Linear shape: mean branching falls from b0 at the root to 0 at gen_mx.
   if (depth >= params.gen_mx) return 0;
   const double b_d =
       static_cast<double>(params.b0) *
@@ -107,6 +70,8 @@ int num_children(const Params& params, const NodeState& state, int depth) {
   const int k = static_cast<int>(std::floor(std::log1p(-u) / std::log1p(-p)));
   return k;
 }
+
+}  // namespace detail
 
 TreeStats count_tree(const Params& params) {
   struct Item {

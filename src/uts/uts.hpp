@@ -26,6 +26,7 @@
 #include <array>
 #include <cstdint>
 
+#include "support/rng.hpp"
 #include "support/sha1.hpp"
 
 namespace olb::uts {
@@ -51,20 +52,68 @@ struct NodeState {
   std::array<std::uint8_t, 20> bytes{};
 
   /// Uniform value in [0, 1) derived from the state.
-  double uniform01() const;
-  /// Raw 31-bit value (mirrors the reference benchmark's rng_rand()).
-  std::uint32_t random31() const;
+  double uniform01() const { return static_cast<double>(random31()) * 0x1.0p-31; }
+  /// Raw 31-bit value (mirrors the reference benchmark's rng_rand()): a
+  /// big-endian read of the first 4 state bytes, truncated to 31 bits.
+  std::uint32_t random31() const {
+    std::uint32_t v = 0;
+    for (int i = 0; i < 4; ++i) v = (v << 8) | bytes[static_cast<std::size_t>(i)];
+    return v >> 1;
+  }
 };
 
 /// State of the tree root for the given parameters.
 NodeState root_state(const Params& params);
 
+// The kFast child hash and the binomial child count are inline: they are
+// the whole per-node cost of every traversal loop (UtsWork::step,
+// count_tree), so a call per node would dominate them.
+
+namespace detail {
+
+/// kFast states carry a 64-bit value, big-endian in the first 8 bytes.
+inline NodeState fast_state(std::uint64_t value) {
+  NodeState s;
+  for (int i = 0; i < 8; ++i) {
+    s.bytes[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(value >> (56 - 8 * i));
+  }
+  return s;
+}
+
+inline std::uint64_t fast_value(const NodeState& s) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v = (v << 8) | s.bytes[static_cast<std::size_t>(i)];
+  return v;
+}
+
+/// kFast child state: 64-bit splitmix mixing of the parent's value.
+inline NodeState fast_child_state(const NodeState& parent, std::uint32_t index) {
+  return fast_state(mix64(fast_value(parent) ^ mix64(0x63686c64ull + index)));
+}
+
+/// kSha1 child state: SHA-1(parent state || be32(child index)).
+NodeState sha1_child_state(const NodeState& parent, std::uint32_t index);
+
+/// Number of children of a GEO node (linear shape) at `depth`.
+int geometric_children(const Params& params, const NodeState& state, int depth);
+
+}  // namespace detail
+
 /// State of child `index` of a node with state `parent`.
-NodeState child_state(const Params& params, const NodeState& parent,
-                      std::uint32_t index);
+inline NodeState child_state(const Params& params, const NodeState& parent,
+                             std::uint32_t index) {
+  return params.hash == HashMode::kSha1 ? detail::sha1_child_state(parent, index)
+                                        : detail::fast_child_state(parent, index);
+}
 
 /// Number of children of a node with the given state and depth.
-int num_children(const Params& params, const NodeState& state, int depth);
+inline int num_children(const Params& params, const NodeState& state, int depth) {
+  if (params.shape == TreeShape::kGeometric) {
+    return detail::geometric_children(params, state, depth);
+  }
+  if (depth == 0) return params.b0;
+  return state.uniform01() < params.q ? params.m : 0;
+}
 
 /// Result of a full sequential traversal.
 struct TreeStats {

@@ -11,6 +11,7 @@
 
 #include <vector>
 
+#include "lb/overlay_lb.hpp"
 #include "simnet/engine.hpp"
 #include "simnet/event_queue.hpp"
 #include "simnet/sharded_engine.hpp"
@@ -269,17 +270,22 @@ TEST(ShardedMemory, EventQueueAccountsItsHeapStorage) {
   const std::size_t full = q.memory_bytes();
   EXPECT_GE(full, 100 * sizeof(sim::Event));
   while (!q.empty()) q.pop();
-  // Slab semantics: capacity is the high-water mark, it never shrinks
-  // (draining can only add freelist capacity).
+  // Slab semantics: capacity is the high-water mark, it never shrinks (the
+  // freelist is threaded through the free slots themselves).
   EXPECT_GE(q.memory_bytes(), full);
 }
 
 TEST(ShardedMemory, HotStructSizesStayPacked) {
   // The scale budget (docs/SCALING.md) counts these per queued event / per
-  // message. Growing either silently is a bytes-per-peer regression at
-  // n = 10^5-10^6; this canary makes the growth a conscious decision.
+  // message / per peer. Growing any silently is a bytes-per-peer regression
+  // at n = 10^5-10^6; this canary makes the growth a conscious decision.
   EXPECT_LE(sizeof(sim::Message), 56u);
   EXPECT_LE(sizeof(sim::Event), 96u);
+  // The actor's inbox is two slab indices and its metrics one pointer.
+  EXPECT_LE(sizeof(sim::Actor), 144u);
+  // Hot state only: mode/role state sits behind pointers, the config is
+  // shared (lb/overlay_lb.hpp).
+  EXPECT_LE(sizeof(lb::OverlayPeer), 648u);
 }
 
 TEST(ShardedMemory, QueueBytesPerPeerStaysBounded) {

@@ -6,6 +6,7 @@
 
 #include "simnet/engine.hpp"
 #include "simnet/event_queue.hpp"
+#include "simnet/faults.hpp"
 
 namespace olb::sim {
 namespace {
@@ -15,29 +16,25 @@ namespace {
 TEST(EventQueue, PopsInTimeOrder) {
   EventQueue q;
   for (Time t : {50, 10, 30, 20, 40}) {
-    Event e;
-    e.time = t;
-    e.seq = static_cast<std::uint64_t>(t);
-    q.push(std::move(e));
+    q.emplace(t, 0, static_cast<std::uint64_t>(t), 0, Event::Kind::kWake);
   }
   Time prev = -1;
   while (!q.empty()) {
-    const Event e = q.pop();
-    EXPECT_GT(e.time, prev);
-    prev = e.time;
+    const Time t = q.peek_time();
+    q.pop();
+    EXPECT_GT(t, prev);
+    prev = t;
   }
 }
 
 TEST(EventQueue, TiesBreakBySequence) {
   EventQueue q;
   for (std::uint64_t s : {3u, 1u, 2u, 0u}) {
-    Event e;
-    e.time = 7;
-    e.seq = s;
-    q.push(std::move(e));
+    q.emplace(7, 0, s, 0, Event::Kind::kArrival).msg.a =
+        static_cast<std::int64_t>(s);
   }
   for (std::uint64_t expect = 0; expect < 4; ++expect) {
-    EXPECT_EQ(q.pop().seq, expect);
+    EXPECT_EQ(q.pop().msg.a, static_cast<std::int64_t>(expect));
   }
 }
 
@@ -46,15 +43,12 @@ TEST(EventQueue, SingleElementPopKeepsMessageIntact) {
   // self-move-assigned the element — undefined for the Message's
   // unique_ptr payload (in practice it nulled it).
   EventQueue q;
-  Event e;
-  e.time = 5;
-  e.seq = 1;
+  Event& e = q.emplace(5, 0, 1, 0, Event::Kind::kArrival);
   e.msg = Message(7, 42);
   e.msg.payload = std::make_unique<MsgPayload>();
-  q.push(std::move(e));
+  EXPECT_EQ(q.peek_time(), 5);
   const Event out = q.pop();
   EXPECT_TRUE(q.empty());
-  EXPECT_EQ(out.time, 5);
   EXPECT_EQ(out.msg.type, 7);
   EXPECT_EQ(out.msg.a, 42);
   EXPECT_NE(out.msg.payload, nullptr);
@@ -91,7 +85,6 @@ TEST(EventQueue, SlabReuseNeverAliasesLiveEvent) {
   // Drain the rest: ordering and payloads must line up despite recycling.
   for (std::uint64_t i = 32; i < 96; ++i) {
     const Event e = q.pop();
-    EXPECT_EQ(e.seq, i);
     ASSERT_NE(e.msg.payload, nullptr);
     EXPECT_EQ(e.msg.b, static_cast<std::int64_t>(i));
   }
@@ -110,13 +103,14 @@ TEST(EventQueue, TopDropTopMatchesPop) {
   EXPECT_EQ(q.peek_time(), 10);
   {
     Event& top = q.top();
-    EXPECT_EQ(top.time, 10);
     EXPECT_EQ(top.msg.a, 10);
     q.drop_top();
   }
+  EXPECT_EQ(q.peek_time(), 20);
   const Event e = q.pop();
-  EXPECT_EQ(e.time, 20);
-  EXPECT_EQ(q.top().time, 30);
+  EXPECT_EQ(e.msg.a, 20);
+  EXPECT_EQ(q.peek_time(), 30);
+  EXPECT_EQ(q.top().msg.a, 30);
   q.drop_top();
   EXPECT_TRUE(q.empty());
 }
@@ -126,17 +120,14 @@ TEST(EventQueue, StressAgainstSortedReference) {
   EventQueue q;
   std::vector<std::pair<Time, std::uint64_t>> ref;
   for (std::uint64_t i = 0; i < 5000; ++i) {
-    Event e;
-    e.time = static_cast<Time>(rng.below(1000));
-    e.seq = i;
-    ref.emplace_back(e.time, e.seq);
-    q.push(std::move(e));
+    const auto t = static_cast<Time>(rng.below(1000));
+    ref.emplace_back(t, i);
+    q.emplace(t, 0, i, 0, Event::Kind::kWake).msg.a = static_cast<std::int64_t>(i);
   }
   std::sort(ref.begin(), ref.end());
   for (const auto& [t, s] : ref) {
-    const Event e = q.pop();
-    EXPECT_EQ(e.time, t);
-    EXPECT_EQ(e.seq, s);
+    EXPECT_EQ(q.peek_time(), t);
+    EXPECT_EQ(q.pop().msg.a, static_cast<std::int64_t>(s));
   }
 }
 
@@ -355,6 +346,139 @@ TEST(Engine, BusyHistogramAccumulatesComputeTime) {
   Time total = 0;
   for (Time t : engine.busy_histogram()) total += t;
   EXPECT_EQ(total, milliseconds(3));
+}
+
+// ---------------------------------------------------------------- inboxes ---
+
+/// Starts one long compute span on its first message and records every
+/// later delivery, so everything that arrives meanwhile parks in its inbox.
+class BusyRecorder : public Actor {
+ public:
+  std::vector<std::pair<int, std::int64_t>> served;  ///< (src, a)
+  Time busy_for = milliseconds(1);
+
+ protected:
+  void on_message(Message m) override {
+    if (m.type == 1) {
+      start_compute(busy_for);
+      return;
+    }
+    served.emplace_back(m.src, m.a);
+  }
+};
+
+/// Sends to every receiver at staggered instants: sender k's i-th message
+/// leaves at 3i + k microseconds, so arrivals from different senders (and
+/// for different receivers) alternate in the event slab.
+class StaggeredSender : public Actor {
+ public:
+  std::vector<int> receivers;
+  int first_sender = 0;  ///< id of sender k = 0
+  int count = 10;
+
+ protected:
+  void on_start() override {
+    for (int i = 0; i < count; ++i) {
+      set_timer(microseconds(3 * i + id() - first_sender), i);
+    }
+  }
+  void on_message(Message) override {}
+  void on_timer(std::int64_t i) override {
+    for (int r : receivers) send(r, Message(2, 3 * i + id() - first_sender));
+  }
+};
+
+TEST(Inbox, BusyActorsServeInterleavedSendersInArrivalOrder) {
+  Engine engine(zero_jitter(), 1);
+  std::vector<BusyRecorder*> busy;
+  for (int r = 0; r < 2; ++r) {
+    auto b = std::make_unique<BusyRecorder>();
+    busy.push_back(b.get());
+    engine.add_actor(std::move(b));
+  }
+  // Actors 2 and 3 kick the receivers into their compute spans first.
+  for (int r = 0; r < 2; ++r) {
+    auto kick = std::make_unique<Starter>();
+    kick->to_send.emplace_back(1);
+    kick->dst = r;
+    engine.add_actor(std::move(kick));
+  }
+  for (int k = 0; k < 3; ++k) {
+    auto s = std::make_unique<StaggeredSender>();
+    s->receivers = {0, 1};
+    s->first_sender = 4;
+    engine.add_actor(std::move(s));
+  }
+  const auto result = engine.run();
+  ASSERT_TRUE(result.quiesced);
+  for (const BusyRecorder* b : busy) {
+    ASSERT_EQ(b->served.size(), 30u);
+    // Every message arrived while the receiver computed; the send instants
+    // are distinct, so arrival order is exactly increasing `a`, and the
+    // sender is recoverable from it.
+    for (std::size_t i = 0; i < b->served.size(); ++i) {
+      EXPECT_EQ(b->served[i].second, static_cast<std::int64_t>(i));
+      EXPECT_EQ(b->served[i].first, 4 + static_cast<int>(i % 3));
+    }
+  }
+}
+
+/// A payload worth a fixed number of application units.
+struct Units : MsgPayload {
+  double units;
+  explicit Units(double u) : units(u) {}
+  double amount() const override { return units; }
+};
+
+/// Cycle c (at c * 2 ms): make receiver 1 + c busy, then park `burst`
+/// payload messages in its inbox. The fault plan crashes it mid-span.
+class BurstSender : public Actor {
+ public:
+  int cycles = 5;
+  int burst = 8;
+
+ protected:
+  void on_start() override {
+    for (int c = 0; c < cycles; ++c) set_timer(milliseconds(2) * c, c);
+  }
+  void on_message(Message) override {}
+  void on_timer(std::int64_t c) override {
+    const int dst = 1 + static_cast<int>(c);
+    send(dst, Message(1));
+    for (int i = 0; i < burst; ++i) {
+      Message m(2, i);
+      m.payload = std::make_unique<Units>(1.5);
+      send(dst, std::move(m));
+    }
+  }
+};
+
+TEST(Inbox, CrashReleasesParkedSlotsAndChargesTheirPayloads) {
+  constexpr int kCycles = 5;
+  Engine engine(zero_jitter(), 1);
+  engine.add_actor(std::make_unique<BurstSender>());
+  for (int c = 0; c < kCycles; ++c) engine.add_actor(std::make_unique<BusyRecorder>());
+  FaultPlan plan;
+  for (int c = 0; c < kCycles; ++c) {
+    plan.add_crash(1 + c, milliseconds(2) * c + microseconds(500));
+  }
+  engine.set_faults(plan);
+  // First cycle: burst parked, receiver crashed, detector notices served.
+  engine.run(milliseconds(2) - 1);
+  EXPECT_EQ(engine.crashes_applied(), 1);
+  EXPECT_DOUBLE_EQ(engine.work_lost_units(), 8 * 1.5);
+  const std::size_t high_water = engine.event_slab_high_water();
+  const auto result = engine.run();
+  ASSERT_TRUE(result.quiesced);
+  EXPECT_EQ(engine.crashes_applied(), kCycles);
+  // Each crash destroyed a full parked burst, charged exactly once...
+  EXPECT_DOUBLE_EQ(engine.work_lost_units(), kCycles * 8 * 1.5);
+  // ...and handed its slots back: later cycles reuse them instead of
+  // growing the slab.
+  EXPECT_EQ(engine.event_slab_high_water(), high_water);
+  for (int c = 0; c < kCycles; ++c) {
+    EXPECT_TRUE(static_cast<BusyRecorder&>(engine.actor(1 + c)).served.empty());
+  }
 }
 
 TEST(Network, ClusterAssignmentIsBlockwise) {

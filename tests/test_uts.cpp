@@ -3,6 +3,8 @@
 
 #include <cmath>
 #include <deque>
+#include <memory>
+#include <vector>
 
 #include "lb/work.hpp"
 #include "uts/uts.hpp"
@@ -10,6 +12,9 @@
 
 namespace olb::uts {
 namespace {
+
+/// count_tree of bin_params(kFast, 19, 200, 0.49), pinned.
+constexpr std::uint64_t kPinnedPingPongNodes = 6807;
 
 Params bin_params(HashMode hash, std::uint32_t seed = 19, int b0 = 50,
                   double q = 0.47) {
@@ -183,6 +188,96 @@ TEST(UtsWork, StealsComeFromTheOldestEnd) {
   std::uint64_t rest = 0;
   while (!work->empty()) rest += work->step(100).units_done;
   EXPECT_EQ(rest, 6u);
+}
+
+/// Pending nodes front-to-back, as their first state word.
+std::vector<std::uint32_t> front_to_back(const UtsWork& w) {
+  std::vector<std::uint32_t> out;
+  w.visit_pending([&](const NodeState& s, int) { out.push_back(s.random31()); });
+  return out;
+}
+
+TEST(UtsWork, DrainedWorkHoldsNoNodeStorage) {
+  const auto p = bin_params(HashMode::kFast);
+  auto work = UtsWork::whole_tree(p, CostModel{});
+  EXPECT_TRUE(work->holds_node_storage());
+  while (!work->empty()) (void)work->step(1000);
+  EXPECT_FALSE(work->holds_node_storage());
+  EXPECT_EQ(work->pending_count(), 0u);
+  EXPECT_EQ(work->amount(), 0.0);
+  EXPECT_EQ(work->step(1000).units_done, 0u);
+  EXPECT_EQ(work->split(0.5), nullptr);
+  // Merging an empty piece keeps it drained.
+  work->merge(std::make_unique<UtsWork>(p, CostModel{}));
+  EXPECT_FALSE(work->holds_node_storage());
+}
+
+TEST(UtsWork, MergeIntoDrainedWorkKeepsFrontToBackOrder) {
+  const auto p = bin_params(HashMode::kFast, 11, 8, 0.0);
+  auto donor = UtsWork::whole_tree(p, CostModel{});
+  (void)donor->step(1);  // the root's 8 children, in order
+  auto piece = donor->split(0.5);
+  ASSERT_NE(piece, nullptr);
+  auto* uts_piece = static_cast<UtsWork*>(piece.get());
+  const std::vector<std::uint32_t> piece_order = front_to_back(*uts_piece);
+  const std::vector<std::uint32_t> donor_order = front_to_back(*donor);
+  ASSERT_EQ(piece_order.size(), 4u);
+
+  auto drained = UtsWork::whole_tree(bin_params(HashMode::kFast, 3, 2, 0.0),
+                                     CostModel{});
+  while (!drained->empty()) (void)drained->step(100);
+  ASSERT_FALSE(drained->holds_node_storage());
+  drained->merge(std::move(piece));
+  EXPECT_EQ(front_to_back(*drained), piece_order);
+
+  // Into a non-empty work the incoming nodes append behind the held ones.
+  std::vector<std::uint32_t> both = donor_order;
+  both.insert(both.end(), piece_order.begin(), piece_order.end());
+  auto again = donor->split(0.5);
+  ASSERT_NE(again, nullptr);
+  const std::vector<std::uint32_t> again_order =
+      front_to_back(static_cast<const UtsWork&>(*again));
+  const std::vector<std::uint32_t> donor_rest = front_to_back(*donor);
+  drained->merge(std::move(again));
+  std::vector<std::uint32_t> expect = piece_order;
+  expect.insert(expect.end(), again_order.begin(), again_order.end());
+  EXPECT_EQ(front_to_back(*drained), expect);
+  EXPECT_EQ(again_order.size() + donor_rest.size(), donor_order.size());
+}
+
+TEST(UtsWork, SplitMergePingPongCountsThePinnedTreeExactly) {
+  // A fixed tree (pinned size) shuffled between three work objects by
+  // splits and merges, with pieces drained and refilled along the way.
+  const auto p = bin_params(HashMode::kFast, 19, 200, 0.49);
+  const std::uint64_t expected = count_tree(p).nodes;
+  ASSERT_EQ(expected, kPinnedPingPongNodes);
+  std::vector<std::unique_ptr<lb::Work>> works;
+  works.push_back(UtsWork::whole_tree(p, CostModel{}));
+  works.push_back(std::make_unique<UtsWork>(p, CostModel{}));
+  works.push_back(std::make_unique<UtsWork>(p, CostModel{}));
+  Xoshiro256 rng(42);
+  std::uint64_t total = 0;
+  for (int round = 0; round < 100000; ++round) {
+    bool any = false;
+    for (auto& w : works) any = any || !w->empty();
+    if (!any) break;
+    const auto from = static_cast<std::size_t>(rng.below(3));
+    const auto to = static_cast<std::size_t>(rng.below(3));
+    total += works[from]->step(1 + rng.below(16)).units_done;
+    if (from != to) {
+      if (auto piece = works[from]->split(0.1 + 0.8 * rng.uniform01())) {
+        works[to]->merge(std::move(piece));
+      }
+    }
+  }
+  for (auto& w : works) {
+    while (!w->empty()) total += w->step(1000).units_done;
+    EXPECT_FALSE(static_cast<const UtsWork&>(*w).holds_node_storage());
+  }
+  EXPECT_EQ(total, expected);
+  std::uint64_t counted = 0;
+  for (auto& w : works) counted += static_cast<const UtsWork&>(*w).nodes_counted();
+  EXPECT_EQ(counted, expected);
 }
 
 }  // namespace
