@@ -8,15 +8,13 @@ namespace olb::lb {
 
 AhmwPeer::AhmwPeer(std::shared_ptr<const overlay::TreeOverlay> tree,
                    AhmwConfig config, std::unique_ptr<Work> initial_work)
-    : PeerBase(config.peer), tree_(std::move(tree)), config_(config),
+    : FlatPeer(config.peer, config.fault_tolerant, config.lease_interval),
+      tree_(std::move(tree)), config_(config),
       initial_work_(std::move(initial_work)) {}
 
 void AhmwPeer::on_start() {
   OLB_CHECK((initial_work_ != nullptr) == is_root());
-  if (config_.fault_tolerant) {
-    peer_down_.assign(static_cast<std::size_t>(num_peers()), 0);
-    if (is_root()) set_timer(config_.lease_interval, kRwsTermPollTimer);
-  }
+  start_termination(is_root());
   if (is_master()) {
     const int my_level = tree_->depth(id());
     for (int p = 0; p < tree_->size(); ++p) {
@@ -26,7 +24,6 @@ void AhmwPeer::on_start() {
     }
   }
   if (is_root()) {
-    ds_.make_initiator();
     OLB_CHECK(acquire_work(std::move(initial_work_)));
     continue_processing();
   } else {
@@ -49,9 +46,7 @@ double AhmwPeer::grain_fraction() const {
 void AhmwPeer::became_idle() {
   if (terminated_) return;
   emit_trace(trace::EventKind::kIdleBegin);
-  // Under faults Dijkstra–Scholten is abandoned (a lost signal hangs it);
-  // the top master's poll detects termination instead.
-  if (!config_.fault_tolerant) maybe_detach();
+  maybe_detach();
   if (terminated_ || request_outstanding_) return;
   if (is_root()) return;  // the top master only waits for its subtree
   pull_from_parent();
@@ -116,64 +111,23 @@ void AhmwPeer::on_timer(std::int64_t tag) {
   }
 }
 
-void AhmwPeer::maybe_detach() {
-  const bool is_passive = !holds_work() && !computing();
-  if (!ds_.can_detach(is_passive)) return;
-  const int parent = ds_.detach();
-  if (parent >= 0) {
-    send(parent, make_msg(kSignal));
-  } else {
-    declare_termination();
-  }
-}
-
 void AhmwPeer::declare_termination() {
   terminated_ = true;
   done_time_ = now();
   for (int c : tree_->children(id())) {
-    if (config_.fault_tolerant && peer_down_[c] != 0) continue;
-    send(c, make_msg(kTerminate));
+    if (!known_down(c)) send(c, make_msg(kTerminate));
   }
 }
 
 void AhmwPeer::diffuse_bound() {
   if (!is_root()) send(tree_->parent(id()), make_msg(kBound));
   for (int c : tree_->children(id())) {
-    if (config_.fault_tolerant && peer_down_[c] != 0) continue;
-    send(c, make_msg(kBound));
-  }
-}
-
-void AhmwPeer::on_poll_tick() {
-  if (terminated_) return;  // no re-arm
-  const int n = num_peers();
-  int live_others = 0;
-  for (int p = 0; p < n; ++p) {
-    if (p != id() && peer_down_[p] == 0) ++live_others;
-  }
-  poll_.begin_round(++poll_round_, n, live_others);
-  for (int p = 0; p < n; ++p) {
-    if (p == id() || peer_down_[p] != 0) continue;
-    send(p, make_msg(kTermProbe, static_cast<std::int64_t>(poll_round_)));
-  }
-  if (live_others == 0) conclude_poll();  // sole survivor
-  if (!terminated_) set_timer(config_.lease_interval, kRwsTermPollTimer);
-}
-
-void AhmwPeer::conclude_poll() {
-  if (poll_.conclude(passive(), work_sent_, work_recv_, crash_epoch_)) {
-    declare_termination();
+    if (!known_down(c)) send(c, make_msg(kBound));
   }
 }
 
 void AhmwPeer::on_peer_down(int peer) {
-  OLB_CHECK(config_.fault_tolerant);
-  const auto idx = static_cast<std::size_t>(peer);
-  if (idx >= peer_down_.size() || peer_down_[idx] != 0) return;
-  peer_down_[idx] = 1;
-  ++crash_epoch_;
-  if (terminated_) return;
-  poll_.invalidate();  // snapshots across a crash boundary don't compare
+  if (!note_crash(peer)) return;
   if (request_outstanding_ && request_target_ == peer) {
     // The pull died with its target; retry against the hierarchy.
     request_outstanding_ = false;
@@ -184,9 +138,7 @@ void AhmwPeer::on_peer_down(int peer) {
 
 void AhmwPeer::on_message(sim::Message m) {
   if (m.type != kTerminate) note_bound(m.a);
-  if (config_.fault_tolerant && m.src >= 0 &&
-      m.src < static_cast<int>(peer_down_.size()) && peer_down_[m.src] != 0 &&
-      m.type != kWork) {
+  if (known_down(m.src) && m.type != kWork) {
     return;  // in-flight message of a dead peer (work still bounces back)
   }
   if (terminated_) {
@@ -208,7 +160,7 @@ void AhmwPeer::on_message(sim::Message m) {
         const double fraction = grain_fraction();
         if (auto w = split_work(fraction)) {
           ds_.on_work_sent();
-          ++work_sent_;  // pure counter: FT TermPoll and state taps read it
+          ++work_sent_;
           emit_trace(trace::EventKind::kServe, m.src, kMWRequest,
                      trace::fraction_ppm(fraction),
                      static_cast<std::int64_t>(w->amount()));
@@ -225,7 +177,7 @@ void AhmwPeer::on_message(sim::Message m) {
       if (holds_work()) {
         if (auto w = split_work(0.5)) {
           ds_.on_work_sent();
-          ++work_sent_;  // pure counter, as above
+          ++work_sent_;
           emit_trace(trace::EventKind::kServe, m.src, kSteal,
                      trace::fraction_ppm(0.5),
                      static_cast<std::int64_t>(w->amount()));
@@ -252,7 +204,7 @@ void AhmwPeer::on_message(sim::Message m) {
     }
     case kWork: {
       request_outstanding_ = false;
-      ++work_recv_;  // pure counter, mirroring work_sent_
+      ++work_recv_;
       if (config_.fault_tolerant) {
         ++req_seq_;  // void any outstanding request timeout
       }
@@ -265,25 +217,6 @@ void AhmwPeer::on_message(sim::Message m) {
       continue_processing();
       break;
     }
-    case kSignal: {
-      ds_.on_signal();
-      maybe_detach();
-      break;
-    }
-    case kTermProbe: {
-      send(m.src, make_msg(kTermAck,
-                           pack_term_ack_b(static_cast<std::uint64_t>(m.b),
-                                           passive()),
-                           pack_term_ack_c(work_sent_, work_recv_)));
-      break;
-    }
-    case kTermAck: {
-      if (poll_.on_ack(term_ack_round(m.b), m.src, term_ack_passive(m.b),
-                       term_ack_sent(m.c), term_ack_recv(m.c))) {
-        conclude_poll();
-      }
-      break;
-    }
     case kBound:
       // Forward improvements along the hierarchy.
       if (bound_ < diffused_bound_) {
@@ -292,25 +225,19 @@ void AhmwPeer::on_message(sim::Message m) {
           send(tree_->parent(id()), make_msg(kBound));
         }
         for (int c : tree_->children(id())) {
-          if (c != m.src &&
-              !(config_.fault_tolerant && peer_down_[c] != 0)) {
-            send(c, make_msg(kBound));
-          }
+          if (c != m.src && !known_down(c)) send(c, make_msg(kBound));
         }
       }
       break;
     case kTerminate: {
       OLB_CHECK_MSG(!holds_work(), "terminate reached a peer still holding work");
-      terminated_ = true;
-      done_time_ = now();
-      for (int c : tree_->children(id())) {
-        if (config_.fault_tolerant && peer_down_[c] != 0) continue;
-        send(c, make_msg(kTerminate));
-      }
+      declare_termination();  // forwards down the hierarchy
       break;
     }
     default:
-      OLB_CHECK_MSG(false, "unexpected message type for AhmwPeer");
+      if (!on_termination_message(m)) {
+        OLB_CHECK_MSG(false, "unexpected message type for AhmwPeer");
+      }
   }
 }
 

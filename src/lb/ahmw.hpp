@@ -20,7 +20,7 @@
 // Fault tolerance (config.fault_tolerant, set by the driver iff a FaultPlan
 // is enabled; only *leaf* crashes are supported — the driver rejects master
 // victims): pulls and steals time out and are retried, Dijkstra–Scholten is
-// replaced by the top master's poll termination (lease_termination.hpp),
+// replaced by the top master's lease poll (flat_peer.hpp),
 // and terminated peers answer straggler pulls with kTerminate so a dropped
 // broadcast cannot strand a worker.
 #pragma once
@@ -28,9 +28,7 @@
 #include <memory>
 #include <vector>
 
-#include "lb/ds_termination.hpp"
-#include "lb/lease_termination.hpp"
-#include "lb/peer_base.hpp"
+#include "lb/flat_peer.hpp"
 #include "overlay/tree_overlay.hpp"
 
 namespace olb::lb {
@@ -54,16 +52,11 @@ struct AhmwConfig {
   sim::Time lease_interval = sim::milliseconds(2);
 };
 
-class AhmwPeer final : public PeerBase {
+class AhmwPeer final : public FlatPeer {
  public:
   /// `initial_work` non-null exactly for the hierarchy root (peer 0).
   AhmwPeer(std::shared_ptr<const overlay::TreeOverlay> tree, AhmwConfig config,
            std::unique_ptr<Work> initial_work);
-
-  bool protocol_terminated() const { return terminated_; }
-  sim::Time done_time() const { return done_time_; }
-  /// Number of crashed peers this peer has been notified about.
-  int known_crashes() const { return crash_epoch_; }
 
   StateTap state_tap() const override {
     StateTap t = PeerBase::state_tap();
@@ -89,35 +82,20 @@ class AhmwPeer final : public PeerBase {
   void steal_from_sibling();
   void send_request(int target, int type);
   void arm_retry();
-  void maybe_detach();
-  void declare_termination();
+  /// Also the receipt of kTerminate: every peer forwards it to its children.
+  void declare_termination() override;
   double grain_fraction() const;
-  bool passive() const { return !holds_work() && !computing(); }
-  void on_poll_tick();
-  void conclude_poll();
-
-  sim::Message make_msg(int type, std::int64_t b = 0, std::int64_t c = 0) const {
-    return sim::Message(type, bound_, b, c);
-  }
 
   std::shared_ptr<const overlay::TreeOverlay> tree_;
   AhmwConfig config_;
   std::unique_ptr<Work> initial_work_;
   std::vector<int> level_peers_;  ///< masters of the same hierarchy level
-  DsTermination ds_;
   bool request_outstanding_ = false;
   bool retry_armed_ = false;
-  sim::Time done_time_ = -1;
 
   // fault-tolerance state
-  std::vector<char> peer_down_;
-  int crash_epoch_ = 0;
   int request_target_ = -1;
   std::int64_t req_seq_ = 0;  ///< generation of the request-timeout timer
-  std::uint64_t work_sent_ = 0;
-  std::uint64_t work_recv_ = 0;
-  TermPoll poll_;              ///< top master only
-  std::uint64_t poll_round_ = 0;
 };
 
 }  // namespace olb::lb

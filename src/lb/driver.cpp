@@ -251,7 +251,7 @@ namespace {
 
 /// Fault-tolerant request/lease timing, derived from the worst-case round
 /// trip unless overridden. The lease interval must dominate the maximum
-/// message lifetime (see lease_termination.hpp); 4x RTT gives slack for
+/// message lifetime (see lb/flat_peer.hpp); 4x RTT gives slack for
 /// the serve-time between request and reply.
 struct FtTiming {
   sim::Time request_timeout = 0;
@@ -487,16 +487,12 @@ RunMetrics run_on_engine(sim::ShardedEngine& engine, Workload& workload,
   RunMetrics metrics;
   metrics.events = result.events;
   metrics.total_messages = engine.total_messages();
-  metrics.work_requests = engine.total_sent_of_type(kReqDown) +
-                          engine.total_sent_of_type(kReqUp) +
-                          engine.total_sent_of_type(kReqBridge) +
-                          engine.total_sent_of_type(kSteal) +
-                          engine.total_sent_of_type(kMWRequest);
   metrics.work_transfers = engine.total_sent_of_type(kWork);
   metrics.sent_by_type.resize(kNumMsgTypes);
   for (int t = 0; t < kNumMsgTypes; ++t) {
     metrics.sent_by_type[static_cast<std::size_t>(t)] = engine.total_sent_of_type(t);
   }
+  metrics.work_requests = work_requests(metrics.sent_by_type);
   for (sim::Time busy : engine.busy_histogram()) {
     metrics.utilization.push_back(
         static_cast<double>(busy) /

@@ -2,7 +2,7 @@
 //
 // All protocols share one numbering so the engine's per-type counters are
 // comparable across strategies (e.g. "total work requests injected" in the
-// paper's Fig. 2 counts kReqDown + kReqUp + kReqBridge + kSteal).
+// paper's Fig. 2 — see work_requests() below).
 //
 // Convention: field `a` of every protocol message carries the sender's best
 // known bound (kNoBound when not applicable), implementing the paper's
@@ -28,7 +28,9 @@ enum MsgType : int {
   kNoWork = 5,     ///< negative reply to kReqDown; c = echoed episode
   kWork = 6,       ///< work transfer; payload = WorkPayload
   kTerminate = 7,  ///< root-initiated termination broadcast
-  kProbe = 8,      ///< termination confirmation wave; payload = ProbePayload
+  kProbe = 8,      ///< the overlay's counting wave (termination confirmation,
+                   ///< per-job accounting in service mode);
+                   ///< payload = ProbePayload
   kProbeAck = 9,   ///< reply to kProbe; payload = ProbePayload
   kBound = 10,     ///< explicit bound diffusion (a = bound)
 
@@ -64,14 +66,23 @@ enum MsgType : int {
                       ///< b = priority class, c = job id,
                       ///< payload = JobPayload
   kJobDone = 25,      ///< root -> gate: job c fully drained (wave-confirmed)
-  kJobProbe = 26,     ///< service accounting wave down the tree;
-                      ///< payload = JobProbePayload
-  kJobProbeAck = 27,  ///< reply to kJobProbe; payload = JobProbePayload
-  kSvcShutdown = 28,  ///< gate -> root: stream exhausted, all jobs resolved —
+  kSvcShutdown = 26,  ///< gate -> root: stream exhausted, all jobs resolved —
                       ///< run the normal termination machinery
 
-  kNumMsgTypes = 29,
+  kNumMsgTypes = 27,
 };
+
+/// Work requests injected — the paper's Fig. 2 count, kReqDown + kReqUp +
+/// kReqBridge + kSteal + kMWRequest — from per-type sent counts indexed by
+/// MsgType (types past the end of a short vector count as 0).
+inline std::uint64_t work_requests(const std::vector<std::uint64_t>& sent_by_type) {
+  std::uint64_t total = 0;
+  for (const int type : {kReqDown, kReqUp, kReqBridge, kSteal, kMWRequest}) {
+    const auto idx = static_cast<std::size_t>(type);
+    if (idx < sent_by_type.size()) total += sent_by_type[idx];
+  }
+  return total;
+}
 
 /// Display name of a message type (trace exporters, debug output).
 inline const char* msg_type_name(int type) {
@@ -102,8 +113,6 @@ inline const char* msg_type_name(int type) {
     case kSizeDelta: return "size_delta";
     case kJobInject: return "job_inject";
     case kJobDone: return "job_done";
-    case kJobProbe: return "job_probe";
-    case kJobProbeAck: return "job_probe_ack";
     case kSvcShutdown: return "svc_shutdown";
     default: return nullptr;
   }
@@ -124,7 +133,9 @@ enum TimerTag : std::int64_t {
   // counter in the bits above kTimerTagShift so stale timers self-cancel.
   kOverlayReqTimeoutTimer = 0x0102,  ///< kReqDown went unanswered
   kOverlaySetupTimer = 0x0103,       ///< kSizeUp retransmit until ready
-  kOverlayLeaseTimer = 0x0104,       ///< root re-probe / peer lease refresh
+  kOverlayLeaseTimer = 0x0104,       ///< root re-probe / peer lease refresh;
+                                     ///< the root's wave cadence in service
+                                     ///< mode
   kRwsStealTimeoutTimer = 0x0202,    ///< kSteal went unanswered
   kRwsTermPollTimer = 0x0203,        ///< initiator poll-termination cadence
   kMwRequestTimeoutTimer = 0x0302,   ///< kMWRequest retransmit
@@ -136,16 +147,25 @@ enum TimerTag : std::int64_t {
   kOverlayLeaveTimer = 0x0106,  ///< member's scheduled graceful leave
 
   // --- service-layer timers (armed only in service mode; single-job runs
-  // never set either).
-  kOverlayJobWaveTimer = 0x0107,  ///< root's per-job accounting-wave cadence
-  kSvcArrivalTimer = 0x0601,      ///< the gate's next scheduled job arrival
+  // never set it).
+  kSvcArrivalTimer = 0x0601,  ///< the gate's next scheduled job arrival
 };
 
 /// Bits above this shift carry per-timer generation counters.
 inline constexpr int kTimerTagShift = 16;
 inline constexpr std::int64_t kTimerTagMask = (std::int64_t{1} << kTimerTagShift) - 1;
 
-/// Payload of kProbe / kProbeAck (termination waves in bridge mode).
+/// One job's accounting row in a service-mode wave: the subtree's transfer
+/// counters for pieces tagged with this job, plus the work amount still held
+/// (milli-units, like the kJob* trace events).
+struct JobStat {
+  std::uint64_t job = 0;
+  std::uint64_t sent = 0;
+  std::uint64_t recv = 0;
+  std::int64_t holds_milli = 0;
+};
+
+/// Payload of kProbe / kProbeAck: one reading of the overlay's counting wave.
 struct ProbePayload final : sim::MsgPayload {
   std::uint64_t probe_id = 0;
   std::uint64_t bridge_sent = 0;
@@ -160,6 +180,10 @@ struct ProbePayload final : sim::MsgPayload {
   /// agree on this sum too — the membership analogue of the crash-epoch
   /// rule: a join or leave between the waves invalidates the pair.
   std::uint64_t member_events = 0;
+  /// Service mode only: the subtree's per-job rows, sorted by job id. The
+  /// root declares a job done after two consecutive waves agree on a
+  /// balanced, unchanged row with nothing held (termination.hpp per job).
+  std::vector<JobStat> rows;
 };
 
 /// Payload of kLeave: the graceful leaver's handover to its parent — the
@@ -200,27 +224,6 @@ struct JobPayload final : sim::MsgPayload {
   std::unique_ptr<Work> work;
 
   double amount() const override { return work != nullptr ? work->amount() : 0.0; }
-};
-
-/// One job's accounting row in a service wave: the subtree's transfer
-/// counters for pieces tagged with this job, plus the work amount still held
-/// (milli-units, like the kJob* trace events).
-struct JobStat {
-  std::uint64_t job = 0;
-  std::uint64_t sent = 0;
-  std::uint64_t recv = 0;
-  std::int64_t holds_milli = 0;
-};
-
-/// Payload of kJobProbe / kJobProbeAck: the root's per-job accounting wave.
-/// Unlike kProbe, a service wave always recurses — busy peers answer too —
-/// because it measures *where each job's work is*, not whether the system is
-/// quiet. The root declares a job done after two consecutive waves agree:
-/// sent == recv, holds == 0, and sent unchanged between them (Mattern's
-/// stability rule applied per job).
-struct JobProbePayload final : sim::MsgPayload {
-  std::uint64_t probe_id = 0;
-  std::vector<JobStat> stats;  ///< sorted by job id (map iteration order)
 };
 
 /// Packing helpers for kTermAck (poll termination under faults): field b

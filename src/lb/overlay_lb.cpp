@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <map>
-#include <set>
 
 #include "lb/job_work.hpp"
 #include "support/check.hpp"
@@ -58,23 +57,11 @@ struct OverlayPeer::SvcState {
   /// Monotone, like the bridge/ft counters; ordered so wave payloads are
   /// assembled in deterministic job order.
   std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>> counters;
-  // wave state (any node)
-  std::uint64_t probe_id = 0;
-  int probe_parent = -1;
-  int acks_missing = 0;
-  std::map<std::uint64_t, JobStat> table;  ///< subtree aggregate
+  std::map<std::uint64_t, JobStat> table;  ///< current wave's subtree rows
   // root-only
-  bool wave_outstanding = false;
-  std::uint64_t next_wave = 0;
-  std::set<std::uint64_t> injected;  ///< kJobInject processed here
-  std::set<std::uint64_t> done;      ///< wave-confirmed and reported
-  /// A job's qualifying reading from the previous wave: done needs the next
-  /// wave to agree (same sent, consecutive wave ids).
-  struct Prev {
-    std::uint64_t sent = 0;
-    std::uint64_t wave = 0;
-  };
-  std::map<std::uint64_t, Prev> prev;
+  /// Jobs injected here and not yet reported done, each with its own
+  /// termination rule over the waves' rows.
+  std::map<std::uint64_t, TerminationRule> open;
   bool shutdown = false;  ///< gate declared the stream exhausted
 };
 
@@ -87,15 +74,11 @@ struct OverlayPeer::FtState {
 /// The root's termination-wave bookkeeping.
 struct OverlayPeer::RootTerm {
   bool probe_outstanding = false;
-  bool have_clean_probe = false;
   bool recheck_after_probe = false;
-  int clean_epoch = 0;
   sim::Time probe_launched_at = 0;
   sim::Time last_wave_end = 0;
   std::uint64_t next_probe_id = 0;
-  std::uint64_t clean_s = 0;
-  std::uint64_t clean_r = 0;
-  std::uint64_t clean_me = 0;  ///< member-events sum of the clean wave
+  TerminationRule rule;  ///< global termination over the wave readings
 };
 
 OverlayPeer::OverlayPeer(std::shared_ptr<const overlay::TreeOverlay> tree,
@@ -296,20 +279,18 @@ void OverlayPeer::become_ready() {
   for (int c : children_) {
     send(c, make_msg(kSizeDown, static_cast<std::int64_t>(my_size_)));
   }
-  if (config_->fault_tolerant || (churn_enabled() && is_root())) {
+  if (config_->fault_tolerant || ((churn_enabled() || svc_enabled()) && is_root())) {
     // FT: every peer leases its protocol state. Churn: the root alone must
     // re-poll — a join or leave changes no transfer counter, so no kReqUp
     // refresh reaches the root; without this tick a membership event that
     // dirties the confirming wave would hang the run (nothing else would
-    // ever relaunch the pair).
-    set_timer(config_->lease_interval, kOverlayLeaseTimer);
+    // ever relaunch the pair). Service mode: the tick is the root's
+    // accounting-wave cadence while jobs are open.
+    set_timer(lease_period(), kOverlayLeaseTimer);
   }
   if (is_root()) {
     if (svc_enabled()) {
-      // Workless start: the gate streams jobs in. The wave timer is the
-      // root's only self-driven cadence — it launches per-job accounting
-      // waves while jobs are in flight and dies with termination.
-      set_timer(config_->service.wave_interval, kOverlayJobWaveTimer);
+      // Workless start: the gate streams jobs in.
       start_idle_episode();
     } else {
       OLB_CHECK(acquire_work(std::move(initial_work_)));
@@ -488,15 +469,6 @@ void OverlayPeer::on_timer(std::int64_t tag) {
       return;
     case kOverlayLeaseTimer:
       on_lease_tick();
-      return;
-    case kOverlayJobWaveTimer:
-      // Per-job accounting cadence (service mode, root only). Stops re-arming
-      // once the fleet terminates so the simulation can quiesce.
-      if (terminated_) return;
-      if (!svc_->wave_outstanding && svc_->done.size() < svc_->injected.size()) {
-        svc_launch_wave();
-      }
-      set_timer(config_->service.wave_interval, kOverlayJobWaveTimer);
       return;
     default:
       OLB_CHECK_MSG(false, "unexpected timer tag for OverlayPeer");
@@ -1004,16 +976,8 @@ void OverlayPeer::departed_dispatch(sim::Message m) {
     case kProbe: {
       const auto* pp = static_cast<const ProbePayload*>(m.payload.get());
       OLB_CHECK(pp != nullptr);
-      auto msg = make_msg(kProbeAck);
-      auto ack = std::make_unique<ProbePayload>();
-      ack->probe_id = pp->probe_id;
-      ack->bridge_sent = own_sent();
-      ack->bridge_recv = own_recv();
-      ack->dirty = false;
-      ack->crash_epoch = crash_epoch_;
-      ack->member_events = member_events();
-      msg.payload = std::move(ack);
-      send(m.src, std::move(msg));
+      send_probe_ack(m.src, pp->probe_id, /*dirty=*/false,
+                     {own_sent(), own_recv(), crash_epoch_, member_events()});
       break;
     }
     case kTerminate:
@@ -1164,7 +1128,7 @@ void OverlayPeer::on_peer_down(int peer) {
   ft_->peer_down[pidx] = 1;
   ++crash_epoch_;
   if (terminated_) return;
-  if (is_root()) root_term().have_clean_probe = false;  // pairs share an epoch
+  if (is_root()) root_term().rule.reset();  // pairs share an epoch
   if (bridge_target_ == peer) bridge_target_ = -1;
   pending_bridges_.erase(
       std::remove_if(pending_bridges_.begin() + bridge_head_,
@@ -1213,12 +1177,20 @@ void OverlayPeer::on_peer_down(int peer) {
   if (idle_ && awaiting_child_ == -1 && !terminated_) arm_retry_timer();
 }
 
+sim::Time OverlayPeer::lease_period() const {
+  return svc_enabled() ? config_->service.wave_interval : config_->lease_interval;
+}
+
 void OverlayPeer::on_lease_tick() {
   if (terminated_) return;  // no re-arm: the timer dies with the protocol
   if (is_root()) {
     RootTerm& rt = root_term();
-    if (rt.probe_outstanding &&
-        now() - rt.probe_launched_at >= config_->lease_interval) {
+    if (svc_enabled()) {
+      // One accounting wave per tick while any job is open. Service mode
+      // excludes faults, so its waves always complete.
+      if (!rt.probe_outstanding && !svc_->open.empty()) launch_probe();
+    } else if (rt.probe_outstanding &&
+               now() - rt.probe_launched_at >= config_->lease_interval) {
       // The wave lost a message (or its relay crashed); abandon it.
       count_retry(-1, kProbe, static_cast<std::int64_t>(cur_probe_));
       rt.probe_outstanding = false;
@@ -1231,7 +1203,7 @@ void OverlayPeer::on_lease_tick() {
     count_retry(parent(), kReqUp, 0);
     send_up_request();
   }
-  set_timer(config_->lease_interval, kOverlayLeaseTimer);
+  set_timer(lease_period(), kOverlayLeaseTimer);
 }
 
 // ---------------------------------------------------------- termination ---
@@ -1273,29 +1245,13 @@ void OverlayPeer::check_root_termination() {
   if (svc_enabled() && !svc_->shutdown) return;
   if (!locally_quiet() || !all_children_pending()) return;
   RootTerm& rt = root_term();
-  if (config_->fault_tolerant) {
-    // Unreliable links can leave pending flags stale, so even pure tree
-    // mode must confirm termination with counter waves.
-    if (rt.probe_outstanding) {
-      rt.recheck_after_probe = true;
-      return;
-    }
-    if (crash_epoch_ == 0 && agg_sent() != agg_recv()) return;
-    // Pace the confirming wave one lease after the previous one: every
-    // transfer in flight during wave k has landed (and bumped a receive
-    // counter) before wave k+1 polls its receiver.
-    if (rt.have_clean_probe && now() - rt.last_wave_end < config_->lease_interval) {
-      return;  // the lease timer re-checks
-    }
-    launch_probe();
-    return;
-  }
-  if (!config_->use_bridges && !churn_enabled()) {
+  if (!config_->fault_tolerant && !config_->use_bridges && !churn_enabled()) {
     // Pure tree mode: a child's upward request proves its whole subtree is
     // finished, so the condition alone is exact. Under churn that proof
     // breaks — a serve can be in flight to a peer that already left (its
     // departed forward re-injects the work outside the tree discipline) —
-    // so elastic runs always confirm with full-counter waves instead.
+    // and unreliable links can leave pending flags stale, so elastic and
+    // fault-tolerant runs always confirm with counter waves instead.
     declare_termination();
     return;
   }
@@ -1303,9 +1259,18 @@ void OverlayPeer::check_root_termination() {
     rt.recheck_after_probe = true;
     return;
   }
-  if (agg_sent() == agg_recv()) launch_probe();
   // Unbalanced counters: some receipt/send is still unreported; the owning
   // subtree will re-idle and refresh its upward request, re-triggering us.
+  // (After a crash the dead peer's contributions are gone for good.)
+  if (crash_epoch_ == 0 && agg_sent() != agg_recv()) return;
+  // Under faults the confirming wave waits one lease after the previous
+  // one: every transfer in flight during wave k has landed (and bumped a
+  // receive counter) before wave k+1 polls its receiver.
+  if (config_->fault_tolerant && rt.rule.armed() &&
+      now() - rt.last_wave_end < config_->lease_interval) {
+    return;  // the lease timer re-checks
+  }
+  launch_probe();
 }
 
 void OverlayPeer::poke_root_termination() {
@@ -1328,6 +1293,7 @@ void OverlayPeer::launch_probe() {
   probe_me_ = member_events();
   probe_dirty_ = false;
   probe_epoch_ = crash_epoch_;
+  if (svc_enabled()) svc_fill_own_stats();
   probe_acks_missing_ = static_cast<int>(children_.size() + phantoms().size());
   emit_trace(trace::EventKind::kProbeWave, -1, 0,
              static_cast<std::int64_t>(cur_probe_));
@@ -1335,6 +1301,10 @@ void OverlayPeer::launch_probe() {
     finish_probe_at_root(probe_s_, probe_r_, probe_dirty_);
     return;
   }
+  send_probes();
+}
+
+void OverlayPeer::send_probes() {
   auto probe = [&](int dst) {
     auto msg = make_msg(kProbe);
     auto payload = std::make_unique<ProbePayload>();
@@ -1349,53 +1319,54 @@ void OverlayPeer::launch_probe() {
   for (const PhantomChild& ph : phantoms()) probe(ph.peer);
 }
 
+void OverlayPeer::send_probe_ack(int dst, std::uint64_t probe_id, bool dirty,
+                                 const TerminationRule::Reading& reading) {
+  auto msg = make_msg(kProbeAck);
+  auto payload = std::make_unique<ProbePayload>();
+  payload->probe_id = probe_id;
+  payload->bridge_sent = reading.sent;
+  payload->bridge_recv = reading.recv;
+  payload->dirty = dirty;
+  payload->crash_epoch = reading.crashes;
+  payload->member_events = reading.member_events;
+  if (svc_enabled()) {
+    payload->rows.reserve(svc_->table.size());
+    for (const auto& [job, st] : svc_->table) payload->rows.push_back(st);
+  }
+  msg.payload = std::move(payload);
+  send(dst, std::move(msg));
+}
+
+void OverlayPeer::reply_probe() {
+  const bool still_quiet = locally_quiet() && all_children_pending();
+  send_probe_ack(probe_parent_, cur_probe_, probe_dirty_ || !still_quiet,
+                 {probe_s_, probe_r_, probe_epoch_, probe_me_});
+}
+
 void OverlayPeer::on_probe(sim::Message m) {
   if (terminated_) return;
   const auto* pp = static_cast<const ProbePayload*>(m.payload.get());
-  const std::uint64_t pid = pp->probe_id;
-  auto reply_dirty = [&] {
-    auto msg = make_msg(kProbeAck);
-    auto payload = std::make_unique<ProbePayload>();
-    payload->probe_id = pid;
-    payload->dirty = true;
-    payload->crash_epoch = crash_epoch_;
-    msg.payload = std::move(payload);
-    send(m.src, std::move(msg));
-  };
-  if (!locally_quiet() || !all_children_pending()) {
-    reply_dirty();
+  const bool quiet = locally_quiet() && all_children_pending();
+  if (!quiet && !svc_enabled()) {
+    // A busy subtree cannot be quiet: the wave stops here. (Service waves
+    // recurse regardless — they also measure where each job's work is.)
+    send_probe_ack(m.src, pp->probe_id, /*dirty=*/true, {0, 0, crash_epoch_, 0});
     return;
   }
-  cur_probe_ = pid;
+  cur_probe_ = pp->probe_id;
   probe_parent_ = m.src;
   probe_s_ = own_sent();
   probe_r_ = own_recv();
   probe_me_ = member_events();
-  probe_dirty_ = false;
+  probe_dirty_ = !quiet;
   probe_epoch_ = crash_epoch_;
+  if (svc_enabled()) svc_fill_own_stats();
   probe_acks_missing_ = static_cast<int>(children_.size() + phantoms().size());
   if (probe_acks_missing_ == 0) {
-    auto msg = make_msg(kProbeAck);
-    auto payload = std::make_unique<ProbePayload>();
-    payload->probe_id = pid;
-    payload->bridge_sent = probe_s_;
-    payload->bridge_recv = probe_r_;
-    payload->dirty = false;
-    payload->crash_epoch = probe_epoch_;
-    payload->member_events = probe_me_;
-    msg.payload = std::move(payload);
-    send(probe_parent_, std::move(msg));
+    reply_probe();
     return;
   }
-  auto probe = [&](int dst) {
-    auto msg = make_msg(kProbe);
-    auto payload = std::make_unique<ProbePayload>();
-    payload->probe_id = pid;
-    msg.payload = std::move(payload);
-    send(dst, std::move(msg));
-  };
-  for (int c : children_) probe(c);
-  for (const PhantomChild& ph : phantoms()) probe(ph.peer);
+  send_probes();
 }
 
 void OverlayPeer::on_probe_ack(sim::Message m) {
@@ -1407,22 +1378,19 @@ void OverlayPeer::on_probe_ack(sim::Message m) {
   probe_me_ += pp->member_events;
   probe_dirty_ = probe_dirty_ || pp->dirty;
   probe_epoch_ = std::max(probe_epoch_, pp->crash_epoch);
+  for (const JobStat& st : pp->rows) {  // rows only travel in service mode
+    JobStat& mine = svc_->table[st.job];
+    mine.job = st.job;
+    mine.sent += st.sent;
+    mine.recv += st.recv;
+    mine.holds_milli += st.holds_milli;
+  }
   if (--probe_acks_missing_ > 0) return;
   if (is_root()) {
     finish_probe_at_root(probe_s_, probe_r_, probe_dirty_);
-    return;
+  } else {
+    reply_probe();
   }
-  const bool still_quiet = locally_quiet() && all_children_pending();
-  auto msg = make_msg(kProbeAck);
-  auto payload = std::make_unique<ProbePayload>();
-  payload->probe_id = cur_probe_;
-  payload->bridge_sent = probe_s_;
-  payload->bridge_recv = probe_r_;
-  payload->dirty = probe_dirty_ || !still_quiet;
-  payload->crash_epoch = probe_epoch_;
-  payload->member_events = probe_me_;
-  msg.payload = std::move(payload);
-  send(probe_parent_, std::move(msg));
 }
 
 void OverlayPeer::on_metrics(metrics::Registry& registry) {
@@ -1440,61 +1408,28 @@ void OverlayPeer::finish_probe_at_root(std::uint64_t s, std::uint64_t r, bool di
     const sim::Time lat = rt.last_wave_end - rt.probe_launched_at;
     metrics::record(mi->wave, static_cast<std::uint64_t>(lat > 0 ? lat : 0));
   }
-  const bool still_quiet = locally_quiet() && all_children_pending();
-  if (config_->fault_tolerant) {
-    const int epoch = std::max(probe_epoch_, crash_epoch_);
-    // With a known crash the crashed peer's counter contributions are gone
-    // for good, so balance is only required while epoch == 0; stability
-    // across a lease-separated pair (at one shared epoch) carries the
-    // Mattern argument by itself.
-    const bool clean =
-        !dirty && still_quiet && (epoch > 0 || s == r) && epoch == crash_epoch_;
-    emit_trace(trace::EventKind::kProbeWave, -1, clean ? 1 : 2,
-               static_cast<std::int64_t>(cur_probe_),
-               static_cast<std::int64_t>(s) - static_cast<std::int64_t>(r));
-    if (clean) {
-      if (rt.have_clean_probe && rt.clean_s == s && rt.clean_r == r &&
-          rt.clean_epoch == epoch) {
-        declare_termination();
-        return;
-      }
-      rt.have_clean_probe = true;
-      rt.clean_s = s;
-      rt.clean_r = r;
-      rt.clean_epoch = epoch;
-      // The confirming wave launches from the lease timer, one lease later.
-      return;
-    }
-    rt.have_clean_probe = false;
-    if (rt.recheck_after_probe) {
-      rt.recheck_after_probe = false;
-      check_root_termination();
-    }
-    return;
-  }
-  const bool clean = !dirty && still_quiet && s == r;
+  if (svc_enabled()) svc_finish_wave_at_root();
+  // The wave is one reading of the termination rule. A crash learned while
+  // it ran (a higher epoch in some ack, or here since) voids it; so does a
+  // service run whose gate may still inject jobs.
+  const int epoch = std::max(probe_epoch_, crash_epoch_);
+  const bool quiet = !dirty && locally_quiet() && all_children_pending() &&
+                     epoch == crash_epoch_ && (!svc_enabled() || svc_->shutdown);
+  const bool done = rt.rule.offer(quiet, {s, r, epoch, probe_me_});
+  const bool clean = done || rt.rule.armed();
   emit_trace(trace::EventKind::kProbeWave, -1, clean ? 1 : 2,
              static_cast<std::int64_t>(cur_probe_),
              static_cast<std::int64_t>(s) - static_cast<std::int64_t>(r));
-  if (clean) {
-    if (rt.have_clean_probe && rt.clean_s == s && rt.clean_r == r &&
-        rt.clean_me == probe_me_) {
-      // Mattern four-counter rule: two consecutive clean waves with
-      // identical balanced counters — no transfer can be in flight. Under
-      // churn the waves must also agree on the membership-event sum: a
-      // join or leave between them (whose handover traffic the counters
-      // may not have caught yet) forces another pair.
-      declare_termination();
-      return;
-    }
-    rt.have_clean_probe = true;
-    rt.clean_s = s;
-    rt.clean_r = r;
-    rt.clean_me = probe_me_;
-    launch_probe();
+  if (done) {
+    declare_termination();
     return;
   }
-  rt.have_clean_probe = false;
+  if (clean) {
+    // Confirm with the next wave at once — except under faults, where the
+    // lease timer launches it one lease later (check_root_termination).
+    if (!config_->fault_tolerant) launch_probe();
+    return;
+  }
   if (rt.recheck_after_probe) {
     rt.recheck_after_probe = false;
     check_root_termination();
@@ -1526,16 +1461,15 @@ void OverlayPeer::on_terminate() {
 
 // ------------------------------------------------ multi-job service mode ---
 //
-// Per-job completion is detected with root-led accounting waves (kJobProbe /
-// kJobProbeAck) that ALWAYS recurse — busy peers answer too, unlike the
-// termination probes — aggregating per job: transfer pieces sent, pieces
-// received, and milli-units currently held. A job is declared done when two
-// consecutive waves (ids w-1 and w) both read sent == recv, holds == 0, with
-// the sent total unchanged between them: Mattern's stability argument per
-// job. Sent/recv counters are monotone and execute-then-advance makes a
-// peer's held amount externally consistent by the time it answers a probe,
-// so a stable balanced pair proves no piece of the job is in flight and no
-// peer holds any of it.
+// Per-job completion rides the overlay's counting wave: in service mode every
+// kProbe recurses through busy peers too, and each ack carries its subtree's
+// per-job rows — transfer pieces sent, pieces received, and milli-units
+// currently held. The root keeps one TerminationRule per open job: a job is
+// done when two consecutive waves both read sent == recv with nothing held
+// and an unchanged row. Sent/recv counters are monotone and
+// execute-then-advance makes a peer's held amount externally consistent by
+// the time it answers a probe, so a stable balanced pair proves no piece of
+// the job is in flight and no peer holds any of it.
 
 JobBag* OverlayPeer::bag() { return static_cast<JobBag*>(work_.get()); }
 
@@ -1556,7 +1490,7 @@ void OverlayPeer::on_job_inject(sim::Message m) {
   const std::uint64_t job = jp->job;
   // Done-eligibility is restricted to injected jobs: a wave that ran while
   // this inject was in flight must not declare the job done-by-absence.
-  svc_->injected.insert(job);
+  svc_->open.try_emplace(job);
   // The inject is not a peer transfer (the gate sits outside the fleet), so
   // it does not bump svc_->counters — waves stay sent == recv symmetric. The
   // oracle's transfer balance instead pairs the gate's kJobXfer with this:
@@ -1590,103 +1524,20 @@ void OverlayPeer::svc_fill_own_stats() {
   }
 }
 
-void OverlayPeer::svc_launch_wave() {
-  OLB_CHECK(is_root());
-  svc_->wave_outstanding = true;
-  svc_->probe_id = ++svc_->next_wave;
-  svc_fill_own_stats();
-  svc_->acks_missing = static_cast<int>(children_.size());
-  if (svc_->acks_missing == 0) {
-    svc_finish_wave_at_root();
-    return;
-  }
-  for (int c : children_) {
-    auto msg = make_msg(kJobProbe);
-    auto payload = std::make_unique<JobProbePayload>();
-    payload->probe_id = svc_->probe_id;
-    msg.payload = std::move(payload);
-    send(c, std::move(msg));
-  }
-}
-
-void OverlayPeer::on_job_probe(sim::Message m) {
-  OLB_CHECK(svc_enabled());
-  if (terminated_) return;
-  const auto* pp = static_cast<const JobProbePayload*>(m.payload.get());
-  svc_->probe_id = pp->probe_id;
-  svc_->probe_parent = m.src;
-  svc_fill_own_stats();
-  svc_->acks_missing = static_cast<int>(children_.size());
-  if (svc_->acks_missing == 0) {
-    svc_reply_wave();
-    return;
-  }
-  for (int c : children_) {
-    auto msg = make_msg(kJobProbe);
-    auto payload = std::make_unique<JobProbePayload>();
-    payload->probe_id = svc_->probe_id;
-    msg.payload = std::move(payload);
-    send(c, std::move(msg));
-  }
-}
-
-void OverlayPeer::on_job_probe_ack(sim::Message m) {
-  OLB_CHECK(svc_enabled());
-  if (terminated_) return;
-  const auto* pp = static_cast<const JobProbePayload*>(m.payload.get());
-  if (pp->probe_id != svc_->probe_id || svc_->acks_missing == 0) return;  // stale
-  for (const JobStat& st : pp->stats) {
-    JobStat& mine = svc_->table[st.job];
-    mine.job = st.job;
-    mine.sent += st.sent;
-    mine.recv += st.recv;
-    mine.holds_milli += st.holds_milli;
-  }
-  if (--svc_->acks_missing > 0) return;
-  if (is_root()) {
-    svc_finish_wave_at_root();
-  } else {
-    svc_reply_wave();
-  }
-}
-
-void OverlayPeer::svc_reply_wave() {
-  auto msg = make_msg(kJobProbeAck);
-  auto payload = std::make_unique<JobProbePayload>();
-  payload->probe_id = svc_->probe_id;
-  payload->stats.reserve(svc_->table.size());
-  for (const auto& [job, st] : svc_->table) payload->stats.push_back(st);
-  msg.payload = std::move(payload);
-  send(svc_->probe_parent, std::move(msg));
-}
-
 void OverlayPeer::svc_finish_wave_at_root() {
-  svc_->wave_outstanding = false;
-  const std::uint64_t wave = svc_->next_wave;
-  for (const std::uint64_t job : svc_->injected) {
-    if (svc_->done.count(job) != 0) continue;
-    JobStat zero;
-    zero.job = job;
-    const auto it = svc_->table.find(job);
-    const JobStat& st = it != svc_->table.end() ? it->second : zero;
+  for (auto it = svc_->open.begin(); it != svc_->open.end();) {
+    const auto row = svc_->table.find(it->first);
     // A job the counters never saw (injected and fully drained at the root
-    // between waves) reads sent == recv == 0, holds == 0: still a correct
-    // quiet reading — the stability pair below does the rest.
-    const bool quiet = st.holds_milli == 0 && st.sent == st.recv;
-    if (!quiet) {
-      svc_->prev.erase(job);
+    // between waves) reads all zeros: still a correct quiet reading — the
+    // rule's confirming wave does the rest.
+    const JobStat st = row != svc_->table.end() ? row->second : JobStat{};
+    if (!it->second.offer(st.holds_milli == 0, {st.sent, st.recv, 0, 0})) {
+      ++it;
       continue;
     }
-    const auto prev = svc_->prev.find(job);
-    if (prev != svc_->prev.end() && prev->second.wave == wave - 1 &&
-        prev->second.sent == st.sent) {
-      svc_->done.insert(job);
-      svc_->prev.erase(job);
-      send(config_->service.gate,
-           make_msg(kJobDone, 0, static_cast<std::int64_t>(job)));
-      continue;
-    }
-    svc_->prev[job] = SvcState::Prev{st.sent, wave};
+    send(config_->service.gate,
+         make_msg(kJobDone, 0, static_cast<std::int64_t>(it->first)));
+    it = svc_->open.erase(it);
   }
 }
 
@@ -1763,8 +1614,6 @@ void OverlayPeer::on_message(sim::Message m) {
     case kProbeAck: on_probe_ack(std::move(m)); break;
     case kBound: on_bound_msg(m); break;
     case kJobInject: on_job_inject(std::move(m)); break;
-    case kJobProbe: on_job_probe(std::move(m)); break;
-    case kJobProbeAck: on_job_probe_ack(std::move(m)); break;
     case kSvcShutdown:
       OLB_CHECK(svc_enabled() && is_root());
       svc_->shutdown = true;

@@ -30,10 +30,12 @@
 //               children have upward requests pending. Bridge mode: upward
 //               requests carry aggregated per-subtree bridge-transfer
 //               counters; when the sums balance, the root runs confirmation
-//               waves down the tree (kProbe/kProbeAck) and terminates after
-//               two consecutive clean waves with identical, balanced
-//               counters (Mattern's four-counter rule) — our realisation of
-//               the paper's "aggregated work request messages".
+//               waves down the tree (kProbe/kProbeAck, the overlay's one
+//               counting wave) and terminates after two consecutive clean
+//               waves with identical, balanced counters — Mattern's rule,
+//               lb/termination.hpp, our realisation of the paper's
+//               "aggregated work request messages". A wave stops at the
+//               first busy peer, which answers dirty.
 //
 // Fault tolerance (config.fault_tolerant, set by the driver iff a FaultPlan
 // is enabled; a fault-free run never takes any of these paths):
@@ -53,14 +55,15 @@
 //     parent/child views stay consistent without a repair handshake.
 //     Adopted children start out non-pending, which blocks termination until
 //     they re-request upwards;
-//   * wave-confirmed termination — the root only terminates after two
-//     lease-separated clean waves whose *total* work-transfer counters (all
-//     serves, not just bridges) and crash epochs agree; counters must
-//     balance only while no crash is known (a crashed peer takes its counter
-//     contributions with it). The lease exceeds the maximum message
-//     lifetime, so any transfer in flight during one wave lands — and bumps
-//     a counter — before the next wave polls its receiver. Work bounced off
-//     a crashed peer re-enters through on_work like any other transfer.
+//   * wave-confirmed termination — the same rule over the same waves, with
+//     *total* work-transfer counters (all serves, not just bridges) and the
+//     crash epoch in each reading; counters must balance only while no crash
+//     is known (a crashed peer takes its counter contributions with it). The
+//     one difference: the confirming wave waits one lease instead of
+//     launching at once. The lease exceeds the maximum message lifetime, so
+//     any transfer in flight during one wave lands — and bumps a counter —
+//     before the next wave polls its receiver. Work bounced off a crashed
+//     peer re-enters through on_work like any other transfer.
 //
 // Elastic membership (config.churn, set by the driver iff a ChurnPlan is
 // enabled; churn-free runs never take any of these paths — simulator
@@ -91,13 +94,14 @@
 //  the root via kJobInject; every peer's work slot holds a lb::JobBag, so
 //  each kWork transfer is a single-job piece tagged with its id (field c).
 //  The root starts workless, termination is suppressed until the gate's
-//  kSvcShutdown, and per-job completion is detected by root-led accounting
-//  waves (kJobProbe/kJobProbeAck, always recursing — busy peers answer too)
-//  that aggregate each job's {sent, recv, holds} over the tree: a job is
-//  done after two consecutive waves agree on balanced, stable counters and
-//  zero holdings (Mattern's stability rule applied per job). Completions go
-//  back to the gate as kJobDone; after shutdown the classic single-job
-//  termination machinery runs unchanged.
+//  kSvcShutdown, and per-job completion rides the same kProbe wave: the
+//  root launches one per kOverlayLeaseTimer tick (period
+//  service.wave_interval) while jobs are open, the wave recurses through
+//  busy peers too, and each ack carries its subtree's per-job
+//  {sent, recv, holds} rows. The root keeps one termination rule per job: a
+//  job is done after two consecutive waves agree on balanced, stable
+//  counters and zero holdings. Completions go back to the gate as kJobDone;
+//  after shutdown the same waves also decide global termination.
 #pragma once
 
 #include <cstdint>
@@ -107,6 +111,7 @@
 
 #include "lb/messages.hpp"
 #include "lb/peer_base.hpp"
+#include "lb/termination.hpp"
 #include "overlay/tree_overlay.hpp"
 
 namespace olb::lb {
@@ -300,6 +305,9 @@ class OverlayPeer final : public PeerBase {
   int nearest_live_ancestor(int peer_id) const;
   std::size_t adopt_child(int peer_id, std::uint64_t size_hint);
   void rebuild_children();
+  /// Period of kOverlayLeaseTimer: the service wave cadence in service
+  /// mode, the lease otherwise.
+  sim::Time lease_period() const;
   void on_lease_tick();
   /// Whether `anc` is a strict ancestor of `node` in the *static* tree.
   bool is_static_ancestor(int anc, int node) const;
@@ -340,10 +348,7 @@ class OverlayPeer final : public PeerBase {
   void svc_emit_chunks();
   /// Own (sent, recv, holds) per job into the service wave table.
   void svc_fill_own_stats();
-  void svc_launch_wave();
-  void on_job_probe(sim::Message m);
-  void on_job_probe_ack(sim::Message m);
-  void svc_reply_wave();
+  /// Feeds a finished wave's rows to the per-job rules; reports done jobs.
   void svc_finish_wave_at_root();
 
   // fault tolerance
@@ -374,6 +379,14 @@ class OverlayPeer final : public PeerBase {
   /// The root's wave bookkeeping, allocated on first use (root only).
   RootTerm& root_term();
   void launch_probe();
+  /// Sends kProbe(cur_probe_) to every child and phantom.
+  void send_probes();
+  /// Answers wave `probe_id` at `dst` with one reading, plus this node's
+  /// per-job rows in service mode.
+  void send_probe_ack(int dst, std::uint64_t probe_id, bool dirty,
+                      const TerminationRule::Reading& reading);
+  /// Sends this node's finished subtree reading to its wave parent.
+  void reply_probe();
   void on_probe(sim::Message m);
   void on_probe_ack(sim::Message m);
   void finish_probe_at_root(std::uint64_t s, std::uint64_t r, bool dirty);

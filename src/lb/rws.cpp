@@ -5,16 +5,12 @@
 namespace olb::lb {
 
 RwsPeer::RwsPeer(RwsConfig config, std::unique_ptr<Work> initial_work)
-    : PeerBase(config.peer), config_(config), initial_work_(std::move(initial_work)) {}
+    : FlatPeer(config.peer, config.fault_tolerant, config.lease_interval),
+      config_(config), initial_work_(std::move(initial_work)) {}
 
 void RwsPeer::on_start() {
-  initiator_ = initial_work_ != nullptr;
-  if (config_.fault_tolerant) {
-    peer_down_.assign(static_cast<std::size_t>(num_peers()), 0);
-    if (initiator_) set_timer(config_.lease_interval, kRwsTermPollTimer);
-  }
-  if (initiator_) {
-    ds_.make_initiator();
+  start_termination(initial_work_ != nullptr);
+  if (initial_work_ != nullptr) {
     OLB_CHECK(acquire_work(std::move(initial_work_)));
     continue_processing();
   } else {
@@ -25,9 +21,7 @@ void RwsPeer::on_start() {
 void RwsPeer::became_idle() {
   if (terminated_) return;
   emit_trace(trace::EventKind::kIdleBegin);
-  // Under faults Dijkstra–Scholten is abandoned entirely (a lost signal
-  // hangs it); the initiator's poll detects termination instead.
-  if (!config_.fault_tolerant) maybe_detach();
+  maybe_detach();
   if (!terminated_) try_steal();
 }
 
@@ -42,8 +36,7 @@ void RwsPeer::try_steal() {
   int victim;
   do {
     victim = static_cast<int>(rng().below(static_cast<std::uint64_t>(n)));
-  } while (victim == id() ||
-           (config_.fault_tolerant && peer_down_[victim] != 0));
+  } while (victim == id() || known_down(victim));
   steal_outstanding_ = true;
   emit_trace(trace::EventKind::kRequest, victim, kSteal);
   if (config_.fault_tolerant) {
@@ -58,24 +51,11 @@ void RwsPeer::try_steal() {
   }
 }
 
-void RwsPeer::maybe_detach() {
-  const bool is_passive = !holds_work() && !computing();
-  if (!ds_.can_detach(is_passive)) return;
-  const int parent = ds_.detach();
-  if (parent >= 0) {
-    send(parent, make_msg(kSignal));
-  } else {
-    declare_termination();
-  }
-}
-
 void RwsPeer::declare_termination() {
   terminated_ = true;
   done_time_ = now();
   for (int p = 0; p < num_peers(); ++p) {
-    if (p == id()) continue;
-    if (config_.fault_tolerant && peer_down_[p] != 0) continue;
-    send(p, make_msg(kTerminate));
+    if (p != id() && !known_down(p)) send(p, make_msg(kTerminate));
   }
 }
 
@@ -84,36 +64,8 @@ void RwsPeer::diffuse_bound() {
   // of every message), which in RWS is abundant.
 }
 
-void RwsPeer::on_poll_tick() {
-  if (terminated_) return;  // no re-arm
-  const int n = num_peers();
-  int live_others = 0;
-  for (int p = 0; p < n; ++p) {
-    if (p != id() && peer_down_[p] == 0) ++live_others;
-  }
-  poll_.begin_round(++poll_round_, n, live_others);
-  for (int p = 0; p < n; ++p) {
-    if (p == id() || peer_down_[p] != 0) continue;
-    send(p, make_msg(kTermProbe, static_cast<std::int64_t>(poll_round_)));
-  }
-  if (live_others == 0) conclude_poll();  // sole survivor
-  if (!terminated_) set_timer(config_.lease_interval, kRwsTermPollTimer);
-}
-
-void RwsPeer::conclude_poll() {
-  if (poll_.conclude(passive(), work_sent_, work_recv_, crash_epoch_)) {
-    declare_termination();
-  }
-}
-
 void RwsPeer::on_peer_down(int peer) {
-  OLB_CHECK(config_.fault_tolerant);
-  const auto idx = static_cast<std::size_t>(peer);
-  if (idx >= peer_down_.size() || peer_down_[idx] != 0) return;
-  peer_down_[idx] = 1;
-  ++crash_epoch_;
-  if (terminated_) return;
-  poll_.invalidate();  // snapshots across a crash boundary don't compare
+  if (!note_crash(peer)) return;
   if (steal_outstanding_ && steal_victim_ == peer) {
     // The request died with the victim; move on immediately.
     steal_outstanding_ = false;
@@ -144,8 +96,7 @@ void RwsPeer::on_timer(std::int64_t tag) {
 
 void RwsPeer::on_message(sim::Message m) {
   if (m.type != kTerminate) note_bound(m.a);
-  if (config_.fault_tolerant && m.src >= 0 && m.src < (int)peer_down_.size() &&
-      peer_down_[m.src] != 0 && m.type != kWork) {
+  if (known_down(m.src) && m.type != kWork) {
     return;  // in-flight message of a dead peer (work still bounces back)
   }
   if (terminated_) {
@@ -162,7 +113,7 @@ void RwsPeer::on_message(sim::Message m) {
       if (holds_work()) {
         if (auto w = split_work(config_.steal_fraction)) {
           ds_.on_work_sent();
-          ++work_sent_;  // pure counter: FT TermPoll and state taps read it
+          ++work_sent_;
           emit_trace(trace::EventKind::kServe, m.src, kSteal,
                      trace::fraction_ppm(config_.steal_fraction),
                      static_cast<std::int64_t>(w->amount()));
@@ -189,7 +140,7 @@ void RwsPeer::on_message(sim::Message m) {
     }
     case kWork: {
       steal_outstanding_ = false;
-      ++work_recv_;  // pure counter, mirroring work_sent_
+      ++work_recv_;
       if (config_.fault_tolerant) {
         ++steal_seq_;  // void any outstanding steal timeout
       }
@@ -202,25 +153,6 @@ void RwsPeer::on_message(sim::Message m) {
       continue_processing();
       break;
     }
-    case kSignal: {
-      ds_.on_signal();
-      maybe_detach();
-      break;
-    }
-    case kTermProbe: {
-      send(m.src, make_msg(kTermAck,
-                           pack_term_ack_b(static_cast<std::uint64_t>(m.b),
-                                           passive()),
-                           pack_term_ack_c(work_sent_, work_recv_)));
-      break;
-    }
-    case kTermAck: {
-      if (poll_.on_ack(term_ack_round(m.b), m.src, term_ack_passive(m.b),
-                       term_ack_sent(m.c), term_ack_recv(m.c))) {
-        conclude_poll();
-      }
-      break;
-    }
     case kTerminate: {
       OLB_CHECK_MSG(!holds_work(), "terminate reached a peer still holding work");
       terminated_ = true;
@@ -228,7 +160,9 @@ void RwsPeer::on_message(sim::Message m) {
       break;
     }
     default:
-      OLB_CHECK_MSG(false, "unexpected message type for RwsPeer");
+      if (!on_termination_message(m)) {
+        OLB_CHECK_MSG(false, "unexpected message type for RwsPeer");
+      }
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "lb/messages.hpp"
 #include "runtime/thread_net.hpp"
@@ -52,9 +53,11 @@ ThreadRunMetrics run_threads(lb::Workload& workload, const lb::RunConfig& config
   ThreadRunMetrics metrics;
   metrics.wall_seconds = result.wall_seconds;
   metrics.total_messages = net.total_messages();
-  metrics.work_requests = net.total_sent_of_type(lb::kReqDown) +
-                          net.total_sent_of_type(lb::kReqUp) +
-                          net.total_sent_of_type(lb::kReqBridge);
+  std::vector<std::uint64_t> sent_by_type(lb::kNumMsgTypes);
+  for (int t = 0; t < lb::kNumMsgTypes; ++t) {
+    sent_by_type[static_cast<std::size_t>(t)] = net.total_sent_of_type(t);
+  }
+  metrics.work_requests = lb::work_requests(sent_by_type);
   metrics.work_transfers = net.total_sent_of_type(lb::kWork);
 
   bool all_done = result.completed;

@@ -137,7 +137,6 @@ void SocketNet::transport_set_timer(sim::Actor& from, sim::Time delay,
 
 void SocketNet::dispatch(sim::Message m) {
   sim::Actor& a = *actor_;
-  ++a.stats_.msgs_received;
   OLB_CHECK(m.type >= 0);
   if (trace::kTraceCompiled && tracer_ != nullptr) [[unlikely]] {
     const sim::Time now = transport_now();

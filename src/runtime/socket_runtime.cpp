@@ -185,9 +185,7 @@ ThreadRunMetrics run_sockets(lb::Workload& workload, const lb::RunConfig& config
   mine.units_done = peer->units_done();
   mine.best_bound = peer->best_bound();
   mine.msgs_sent = net.messages_sent();
-  mine.work_requests = net.sent_of_type(lb::kReqDown) +
-                       net.sent_of_type(lb::kReqUp) +
-                       net.sent_of_type(lb::kReqBridge);
+  mine.work_requests = lb::work_requests(net.stats().sent_by_type);
   mine.work_transfers = net.sent_of_type(lb::kWork);
   mine.tap = peer->state_tap();
   mine.done_ns = options.rank == 0 ? peer->done_time() : -1;

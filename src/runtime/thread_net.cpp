@@ -112,7 +112,6 @@ void ThreadNet::transport_set_timer(sim::Actor& from, sim::Time delay,
 
 void ThreadNet::dispatch(Host& host, sim::Message m) {
   sim::Actor& a = *host.actor;
-  ++a.stats_.msgs_received;
   // Timers stay thread-local and faults don't exist here, so the reserved
   // negative types never travel through a mailbox.
   OLB_CHECK(m.type >= 0);

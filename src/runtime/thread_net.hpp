@@ -155,8 +155,7 @@ class ThreadNet final : public sim::Transport {
   void transport_set_timer(sim::Actor& from, sim::Time delay,
                            std::int64_t tag) override;
   void transport_compute_started(sim::Actor& from, sim::Time duration) override {
-    // Nothing to account: the span is CPU time Work::step() already spent,
-    // and compute_time was accrued by Actor::start_compute itself.
+    // Nothing to schedule: the span is CPU time Work::step() already spent.
     (void)from;
     (void)duration;
   }

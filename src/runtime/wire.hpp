@@ -35,10 +35,14 @@
 namespace olb::runtime {
 
 inline constexpr std::uint32_t kWireMagic = 0x4F4C4257u;  // "OLBW" (LE "WBLO")
-/// v2: job-layer payload kinds (kJobInject work, kJobProbe/Ack stat waves)
-/// joined the message codec. Peers of different versions refuse to talk —
-/// a v1 peer cannot silently drop job tags it does not understand.
-inline constexpr std::uint16_t kWireVersion = 2;
+/// v2: job-layer payload kinds (kJobInject work, separate per-job stat waves)
+/// joined the message codec.
+/// v3: the job stat waves folded into kProbe/kProbeAck — the probe payload
+/// gained per-job rows, the job-probe payload kind is gone and kSvcShutdown
+/// moved to type 26.
+/// Peers of different versions refuse to talk: an older peer cannot
+/// silently drop fields or types it does not understand.
+inline constexpr std::uint16_t kWireVersion = 3;
 /// Upper bound on a frame body; anything larger is a corrupt or hostile
 /// header, not a real message (the largest legitimate frames are work
 /// transfers of a few hundred KB).

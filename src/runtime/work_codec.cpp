@@ -17,8 +17,7 @@ enum PayloadKind : std::uint8_t {
   kPayloadProbe = 1,
   kPayloadWork = 2,
   kPayloadLeave = 3,
-  kPayloadJob = 4,       ///< kJobInject: tagged root work of a fresh job
-  kPayloadJobProbe = 5,  ///< kJobProbe/kJobProbeAck: per-job stat vectors
+  kPayloadJob = 4,  ///< kJobInject: tagged root work of a fresh job
 };
 
 /// UTS work = nodes-counted tally + the deque of pending (state, depth)
@@ -159,6 +158,13 @@ void encode_message(const sim::Message& m, const WorkCodec* codec, WireWriter& w
     w.u8(probe->dirty ? 1 : 0);
     w.i32(probe->crash_epoch);
     w.u64(probe->member_events);
+    w.u32(static_cast<std::uint32_t>(probe->rows.size()));
+    for (const lb::JobStat& st : probe->rows) {
+      w.u64(st.job);
+      w.u64(st.sent);
+      w.u64(st.recv);
+      w.i64(st.holds_milli);
+    }
     return;
   }
   if (const auto* leave = dynamic_cast<const lb::LeavePayload*>(m.payload.get())) {
@@ -201,19 +207,6 @@ void encode_message(const sim::Message& m, const WorkCodec* codec, WireWriter& w
     w.blob(body.data());
     return;
   }
-  if (const auto* jpp =
-          dynamic_cast<const lb::JobProbePayload*>(m.payload.get())) {
-    w.u8(kPayloadJobProbe);
-    w.u64(jpp->probe_id);
-    w.u32(static_cast<std::uint32_t>(jpp->stats.size()));
-    for (const lb::JobStat& st : jpp->stats) {
-      w.u64(st.job);
-      w.u64(st.sent);
-      w.u64(st.recv);
-      w.i64(st.holds_milli);
-    }
-    return;
-  }
   OLB_CHECK_MSG(false, "unknown payload type on the wire");
 }
 
@@ -240,6 +233,15 @@ bool decode_message(WireReader& r, const WorkCodec* codec, sim::Message* msg) {
       probe->dirty = r.u8() != 0;
       probe->crash_epoch = r.i32();
       probe->member_events = r.u64();
+      const std::uint32_t n = r.u32();
+      for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
+        lb::JobStat st;
+        st.job = r.u64();
+        st.sent = r.u64();
+        st.recv = r.u64();
+        st.holds_milli = r.i64();
+        probe->rows.push_back(st);
+      }
       m.payload = std::move(probe);
       break;
     }
@@ -289,21 +291,6 @@ bool decode_message(WireReader& r, const WorkCodec* codec, sim::Message* msg) {
       job->work = codec->decode_work(body_reader);
       if (job->work == nullptr || !body_reader.exhausted()) return false;
       m.payload = std::move(job);
-      break;
-    }
-    case kPayloadJobProbe: {
-      auto probe = std::make_unique<lb::JobProbePayload>();
-      probe->probe_id = r.u64();
-      const std::uint32_t n = r.u32();
-      for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-        lb::JobStat st;
-        st.job = r.u64();
-        st.sent = r.u64();
-        st.recv = r.u64();
-        st.holds_milli = r.i64();
-        probe->stats.push_back(st);
-      }
-      m.payload = std::move(probe);
       break;
     }
     default:

@@ -19,7 +19,6 @@ void Actor::start_compute(Time duration) {
     duration = static_cast<Time>(static_cast<double>(duration) / speed_);
   }
   compute_pending_ = true;
-  stats_.compute_time += duration;
   transport_->transport_compute_started(*this, duration);
 }
 
@@ -260,9 +259,7 @@ void Engine::service(Actor& a, Time t) {
     // send, and a send may grow (and so move) the slab.
     Message m = std::move(queue_.front(a.inbox_));
     queue_.pop_front(a.inbox_);
-    ++a.stats_.msgs_received;
     a.busy_until_ = t + config_.msg_handling_cost;
-    a.stats_.overhead_time += config_.msg_handling_cost;
     // Application messages (type >= 0) first: one compare on the hot path,
     // the engine-reserved negative types pay the second.
     if (m.type >= 0) {

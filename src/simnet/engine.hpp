@@ -49,9 +49,6 @@ class Engine;
 /// Per-actor accounting used for efficiency and message-load reports.
 struct ActorStats {
   std::uint64_t msgs_sent = 0;
-  std::uint64_t msgs_received = 0;
-  Time compute_time = 0;   ///< simulated time spent on application work
-  Time overhead_time = 0;  ///< simulated time spent handling messages
   std::vector<std::uint64_t> sent_by_type;  ///< indexed by message type
 };
 

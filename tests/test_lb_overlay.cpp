@@ -8,6 +8,7 @@
 
 #include "bb/bb_work.hpp"
 #include "lb/driver.hpp"
+#include "lb/termination.hpp"
 #include "test_util.hpp"
 #include "uts/uts_work.hpp"
 
@@ -16,6 +17,66 @@ namespace {
 
 using test_util::base_config;
 using test_util::uts_params;
+
+// ------------------------------------------------------- termination rule ---
+
+using Reading = lb::TerminationRule::Reading;
+
+TEST(TerminationRule, SecondAgreeingQuietReadingTerminates) {
+  lb::TerminationRule rule;
+  EXPECT_FALSE(rule.offer(true, {4, 4, 0, 0}));
+  EXPECT_TRUE(rule.armed());
+  EXPECT_TRUE(rule.offer(true, {4, 4, 0, 0}));
+}
+
+TEST(TerminationRule, CountersMustBalanceOnlyWhileCrashFree) {
+  lb::TerminationRule clean;
+  EXPECT_FALSE(clean.offer(true, {5, 4, 0, 0}));  // a transfer in flight
+  EXPECT_FALSE(clean.armed());
+  EXPECT_FALSE(clean.offer(true, {5, 4, 0, 0}));
+  EXPECT_FALSE(clean.armed()) << "unbalanced crash-free readings never pair";
+
+  // A crashed peer takes its counter contributions with it: after a crash
+  // stability alone carries the argument.
+  lb::TerminationRule crashed;
+  EXPECT_FALSE(crashed.offer(true, {5, 4, 1, 0}));
+  EXPECT_TRUE(crashed.armed());
+  EXPECT_TRUE(crashed.offer(true, {5, 4, 1, 0}));
+}
+
+TEST(TerminationRule, ResetAfterCrashVoidsThePendingReading) {
+  lb::TerminationRule rule;
+  EXPECT_FALSE(rule.offer(true, {3, 2, 1, 0}));
+  rule.reset();  // a second crash was learned between the readings
+  EXPECT_FALSE(rule.armed());
+  EXPECT_FALSE(rule.offer(true, {3, 2, 1, 0})) << "a reset pair must restart";
+  EXPECT_TRUE(rule.offer(true, {3, 2, 1, 0}));
+}
+
+TEST(TerminationRule, DisagreeingReadingsRestartThePair) {
+  lb::TerminationRule rule;
+  EXPECT_FALSE(rule.offer(true, {2, 2, 0, 0}));
+  // A join or leave between the waves: the member-event sum moved.
+  EXPECT_FALSE(rule.offer(true, {2, 2, 0, 1}));
+  EXPECT_TRUE(rule.armed());  // the new reading is the pending one now
+  EXPECT_TRUE(rule.offer(true, {2, 2, 0, 1}));
+
+  // Moved counters or a moved crash count restart the pair the same way.
+  lb::TerminationRule moved;
+  EXPECT_FALSE(moved.offer(true, {2, 2, 1, 0}));
+  EXPECT_FALSE(moved.offer(true, {3, 3, 1, 0}));
+  EXPECT_FALSE(moved.offer(true, {3, 3, 2, 0}));
+  EXPECT_TRUE(moved.offer(true, {3, 3, 2, 0}));
+}
+
+TEST(TerminationRule, NonQuietReadingRestartsThePair) {
+  lb::TerminationRule rule;
+  EXPECT_FALSE(rule.offer(true, {1, 1, 0, 0}));
+  EXPECT_FALSE(rule.offer(false, {1, 1, 0, 0}));  // someone was busy
+  EXPECT_FALSE(rule.armed());
+  EXPECT_FALSE(rule.offer(true, {1, 1, 0, 0}));
+  EXPECT_TRUE(rule.offer(true, {1, 1, 0, 0}));
+}
 
 // --------------------------------------------------- parameterised sweeps ---
 

@@ -282,10 +282,10 @@ TEST(ShardedMemory, HotStructSizesStayPacked) {
   EXPECT_LE(sizeof(sim::Message), 56u);
   EXPECT_LE(sizeof(sim::Event), 96u);
   // The actor's inbox is two slab indices and its metrics one pointer.
-  EXPECT_LE(sizeof(sim::Actor), 144u);
+  EXPECT_LE(sizeof(sim::Actor), 120u);
   // Hot state only: mode/role state sits behind pointers, the config is
   // shared (lb/overlay_lb.hpp).
-  EXPECT_LE(sizeof(lb::OverlayPeer), 648u);
+  EXPECT_LE(sizeof(lb::OverlayPeer), 624u);
 }
 
 TEST(ShardedMemory, QueueBytesPerPeerStaysBounded) {

@@ -183,19 +183,25 @@ NetworkConfig zero_jitter() {
 }
 
 TEST(Engine, MessageLatencyAndHandlingCost) {
+  // The first message lands after the link latency; handling it keeps the
+  // receiver busy for msg_handling_cost, so a back-to-back second message
+  // is handled exactly that much later.
   Engine engine(zero_jitter(), 1);
   auto s = std::make_unique<Starter>();
   s->to_send.emplace_back(5);
+  s->to_send.emplace_back(6);
   auto r = std::make_unique<Recorder>();
   auto* recorder = r.get();
   engine.add_actor(std::move(s));
   engine.add_actor(std::move(r));
   const auto result = engine.run();
   EXPECT_TRUE(result.quiesced);
-  ASSERT_EQ(recorder->deliveries.size(), 1u);
+  ASSERT_EQ(recorder->deliveries.size(), 2u);
+  EXPECT_EQ(recorder->deliveries[0].type, 5);
   EXPECT_EQ(recorder->deliveries[0].at, microseconds(10));
-  EXPECT_EQ(engine.stats(1).msgs_received, 1u);
-  EXPECT_EQ(engine.stats(1).overhead_time, microseconds(3));
+  EXPECT_EQ(recorder->deliveries[1].type, 6);
+  EXPECT_EQ(recorder->deliveries[1].at - recorder->deliveries[0].at,
+            microseconds(3));
 }
 
 TEST(Engine, BusyServerSerialisesDeliveries) {
@@ -262,15 +268,21 @@ TEST(Engine, TimerFiresAtRequestedDelay) {
 }
 
 TEST(Engine, RequestReplyRoundTrip) {
+  class Pinger : public Recorder {
+   protected:
+    void on_start() override { send(1, Message(4)); }
+  };
   Engine engine(zero_jitter(), 1);
-  auto s = std::make_unique<Starter>();
-  s->to_send.emplace_back(4);
+  auto p = std::make_unique<Pinger>();
+  auto* pinger = p.get();
   auto r = std::make_unique<Recorder>();
   r->reply_to_type = 4;
-  engine.add_actor(std::move(s));
+  engine.add_actor(std::move(p));
   engine.add_actor(std::move(r));
   engine.run();
-  EXPECT_EQ(engine.stats(0).msgs_received, 1u);  // the type-99 reply
+  ASSERT_EQ(pinger->deliveries.size(), 1u);
+  EXPECT_EQ(pinger->deliveries[0].type, 99);  // the reply
+  EXPECT_EQ(pinger->deliveries[0].src, 1);
   EXPECT_EQ(engine.stats(1).msgs_sent, 1u);
 }
 

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "check/conformance.hpp"
+#include "lb/messages.hpp"
 #include "svc/service.hpp"
 #include "test_util.hpp"
 #include "trace/trace.hpp"
@@ -320,6 +321,38 @@ TEST(Service, PendingQueuePopsInClassOrder) {
     if (rec.rejected || rec.job_class != 0) continue;
     EXPECT_GE(rec.done, 0) << "high-priority job " << rec.job << " starved";
   }
+}
+
+// ------------------------------------------------------------- accounting ---
+
+TEST(Service, AccountingRidesTheOverlayProbeWave) {
+  // Per-job accounting shares the overlay's one counting wave: the only
+  // wave traffic is kProbe/kProbeAck, and because service waves recurse
+  // through busy peers and are never abandoned, every wave visits the whole
+  // fleet and every probe is answered exactly once.
+  svc::ServiceConfig sc = service_base();
+  sc.classes.push_back(uts_class(svc::ArrivalKind::kPoisson, 200));
+  sc.classes.push_back(flowshop_class(150));
+  trace::VectorTracer tracer;
+  const auto m = run_with_oracles(sc, &tracer);
+  expect_exact_jobs(m);
+
+  std::vector<std::uint64_t> sent(lb::kNumMsgTypes, 0);
+  std::uint64_t waves = 0;
+  for (const trace::TraceEvent& e : tracer.events()) {
+    if (e.kind == trace::EventKind::kProbeWave && e.type == 0) ++waves;
+    if (e.kind != trace::EventKind::kMsgSend) continue;
+    ASSERT_GE(e.type, 0);
+    ASSERT_LT(e.type, lb::kNumMsgTypes) << "message outside the vocabulary";
+    ++sent[static_cast<std::size_t>(e.type)];
+  }
+  EXPECT_GT(sent[lb::kProbe], 0u);
+  EXPECT_EQ(sent[lb::kProbe], sent[lb::kProbeAck]);
+  EXPECT_EQ(sent[lb::kProbe],
+            waves * static_cast<std::uint64_t>(sc.run.num_peers - 1));
+  // A job is done after two agreeing waves, so there are at least two.
+  EXPECT_GE(waves, 2u);
+  EXPECT_EQ(sent[lb::kJobDone], m.completed);
 }
 
 // ---------------------------------------------------------------- metrics ---

@@ -432,18 +432,22 @@ TEST(WorkCodec, JobPayloadRoundTripsAndRejectsTruncation) {
   }
 }
 
-TEST(WorkCodec, JobProbeStatsRoundTripAndRejectTruncation) {
+TEST(WorkCodec, ProbeRowsRoundTripAndRejectTruncation) {
+  // A service-mode wave reply: the counting-wave reading plus per-job rows.
   auto workload = test_uts();
   const auto codec = runtime::make_work_codec(*workload);
-  sim::Message m(lb::kJobProbeAck);
+  sim::Message m(lb::kProbeAck);
   m.id = 21;
   m.src = 3;
   m.dst = 0;
-  auto probe = std::make_unique<lb::JobProbePayload>();
+  auto probe = std::make_unique<lb::ProbePayload>();
   probe->probe_id = kU64Max;
-  probe->stats.push_back({/*job=*/0, /*sent=*/1, /*recv=*/2,
-                          /*holds_milli=*/kI64Max});
-  probe->stats.push_back({kU64Max, kU64Max, kU64Max - 1, /*holds_milli=*/-5});
+  probe->bridge_sent = 4;
+  probe->bridge_recv = 5;
+  probe->dirty = true;
+  probe->rows.push_back({/*job=*/0, /*sent=*/1, /*recv=*/2,
+                         /*holds_milli=*/kI64Max});
+  probe->rows.push_back({kU64Max, kU64Max, kU64Max - 1, /*holds_milli=*/-5});
   m.payload = std::move(probe);
 
   runtime::WireWriter w;
@@ -453,15 +457,18 @@ TEST(WorkCodec, JobProbeStatsRoundTripAndRejectTruncation) {
   ASSERT_TRUE(runtime::decode_message(r, codec.get(), &out));
   EXPECT_TRUE(r.exhausted());
   expect_messages_equal(m, out);
-  const auto* po = dynamic_cast<const lb::JobProbePayload*>(out.payload.get());
+  const auto* po = dynamic_cast<const lb::ProbePayload*>(out.payload.get());
   ASSERT_NE(po, nullptr);
   EXPECT_EQ(po->probe_id, kU64Max);
-  ASSERT_EQ(po->stats.size(), 2u);
-  EXPECT_EQ(po->stats[0].holds_milli, kI64Max);
-  EXPECT_EQ(po->stats[1].job, kU64Max);
-  EXPECT_EQ(po->stats[1].sent, kU64Max);
-  EXPECT_EQ(po->stats[1].recv, kU64Max - 1);
-  EXPECT_EQ(po->stats[1].holds_milli, -5);
+  EXPECT_EQ(po->bridge_sent, 4u);
+  EXPECT_EQ(po->bridge_recv, 5u);
+  EXPECT_TRUE(po->dirty);
+  ASSERT_EQ(po->rows.size(), 2u);
+  EXPECT_EQ(po->rows[0].holds_milli, kI64Max);
+  EXPECT_EQ(po->rows[1].job, kU64Max);
+  EXPECT_EQ(po->rows[1].sent, kU64Max);
+  EXPECT_EQ(po->rows[1].recv, kU64Max - 1);
+  EXPECT_EQ(po->rows[1].holds_milli, -5);
 
   const auto& full = w.data();
   for (std::size_t len = 0; len < full.size(); ++len) {
@@ -470,18 +477,6 @@ TEST(WorkCodec, JobProbeStatsRoundTripAndRejectTruncation) {
     EXPECT_FALSE(runtime::decode_message(tr, codec.get(), &o))
         << "prefix " << len;
   }
-
-  // An empty wave (no jobs in flight yet) still round-trips.
-  sim::Message empty(lb::kJobProbe);
-  empty.payload = std::make_unique<lb::JobProbePayload>();
-  runtime::WireWriter w2;
-  runtime::encode_message(empty, codec.get(), w2);
-  runtime::WireReader r2(w2.data());
-  sim::Message out2;
-  ASSERT_TRUE(runtime::decode_message(r2, codec.get(), &out2));
-  const auto* po2 = dynamic_cast<const lb::JobProbePayload*>(out2.payload.get());
-  ASSERT_NE(po2, nullptr);
-  EXPECT_TRUE(po2->stats.empty());
 }
 
 TEST(WorkCodec, UnknownPayloadKindRejected) {
