@@ -2,6 +2,7 @@
 // compute/message interleaving, timers, latency model, determinism.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "simnet/engine.hpp"
@@ -328,6 +329,90 @@ TEST(Engine, EventLimitStopsRun) {
   const auto result = engine.run(kTimeMax, 10);
   EXPECT_FALSE(result.quiesced);
   EXPECT_EQ(result.events, 10u);
+}
+
+/// One scripted cast exercising every way an arrival meets its actor: two
+/// messages landing on one free actor in the same nanosecond, a same-instant
+/// arrival for a second actor, a zero-delay timer set when a compute span
+/// ends, a lone arrival at a free actor, and an arrival at an actor still
+/// busy handling its previous message. Every hook logs (time, actor, what).
+class Scripted : public Actor {
+ public:
+  struct Entry {
+    Time at;
+    int actor;
+    char what;  ///< 's'tart, 'm'essage, 't'imer, 'c'ompute done
+    std::int64_t value;
+    bool operator==(const Entry&) const = default;
+    friend std::ostream& operator<<(std::ostream& os, const Entry& e) {
+      return os << e.at << "ns actor " << e.actor << ' ' << e.what << e.value;
+    }
+  };
+  std::vector<Entry>* log = nullptr;
+
+ protected:
+  void on_start() override {
+    log->push_back({now(), id(), 's', 0});
+    if (id() == 0) {
+      set_timer(microseconds(20), 0);
+      set_timer(microseconds(48), 1);
+    } else if (id() == 1) {
+      set_timer(microseconds(49), 2);
+    }
+  }
+  void on_message(Message m) override {
+    log->push_back({now(), id(), 'm', m.type});
+    if (m.type == 3) start_compute(microseconds(5));
+  }
+  void on_timer(std::int64_t tag) override {
+    log->push_back({now(), id(), 't', tag});
+    if (tag == 0) {
+      send(1, Message(1));  // all three land at 30 us
+      send(1, Message(2));
+      send(2, Message(3));
+    } else if (tag == 1 || tag == 2) {
+      send(3, Message(static_cast<int>(3 + tag)));  // at 58 us, then 59 us
+    }
+  }
+  void on_compute_done() override {
+    log->push_back({now(), id(), 'c', 0});
+    set_timer(0, 7);
+  }
+};
+
+TEST(Engine, InPlaceDispatchKeepsTheTwoEventOrder) {
+  // An arrival at a free actor, with nothing else due at that instant, is
+  // served without a separate wake event. The handling order, the times
+  // and the event count pinned here are those of the engine that always
+  // queued the wake: in-place dispatch must not move any of them.
+  std::vector<Scripted::Entry> log;
+  Engine engine(zero_jitter(), 1);
+  for (int i = 0; i < 4; ++i) {
+    auto s = std::make_unique<Scripted>();
+    s->log = &log;
+    engine.add_actor(std::move(s));
+  }
+  const auto result = engine.run();
+  ASSERT_TRUE(result.quiesced);
+  const std::vector<Scripted::Entry> expected = {
+      {0, 0, 's', 0},
+      {0, 1, 's', 0},
+      {0, 2, 's', 0},
+      {0, 3, 's', 0},
+      {microseconds(20), 0, 't', 0},
+      {microseconds(30), 1, 'm', 1},  // same-nanosecond pair at actor 1
+      {microseconds(30), 2, 'm', 3},  // same-instant arrival at actor 2
+      {microseconds(33), 1, 'm', 2},
+      {microseconds(38), 2, 'c', 0},
+      {microseconds(38), 2, 't', 7},  // zero-delay timer
+      {microseconds(48), 0, 't', 1},
+      {microseconds(49), 1, 't', 2},
+      {microseconds(58), 3, 'm', 4},
+      {microseconds(61), 3, 'm', 5},  // arrived at 59 us, actor busy
+  };
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(result.events, 23u);
+  EXPECT_EQ(result.end_time, microseconds(61));
 }
 
 TEST(Engine, TimeLimitStopsRun) {
