@@ -388,7 +388,7 @@ void OverlayPeer::maybe_send_up() {
   if (!all_children_pending()) {
     // Some child answered "no work" transiently but its subtree is still
     // active; retry the downward phase after a short backoff.
-    arm_retry_timer();
+    arm_retry_timer(config_->retry_delay);
     return;
   }
   if (is_root()) {
@@ -398,14 +398,31 @@ void OverlayPeer::maybe_send_up() {
   }
   // In bridge mode an idle peer keeps sampling random bridge partners while
   // it waits — work may re-enter its subtree only over a bridge, and the
-  // pure tree protocol would otherwise sit passive until termination.
-  if (config_->use_bridges && !terminated_) arm_retry_timer();
+  // pure tree protocol would otherwise sit passive until termination. With
+  // every child pending there is no child to poll, and a parked bridge
+  // request is not re-sampled before bridge_patience, so until then a tick
+  // would change nothing: the timer sleeps until the request falls due.
+  if (config_->use_bridges && !terminated_) {
+    sim::Time delay = config_->retry_delay;
+    if (bridge_target_ != -1) {
+      const sim::Time waited = now() - bridge_sent_at_;
+      if (waited < config_->bridge_patience) {
+        delay = std::max(delay, config_->bridge_patience - waited);
+      }
+    }
+    arm_retry_timer(delay);
+  }
 }
 
-void OverlayPeer::arm_retry_timer() {
-  if (retry_timer_armed_) return;
-  retry_timer_armed_ = true;
-  set_timer(config_->retry_delay, kOverlayRetryTimer);
+void OverlayPeer::arm_retry_timer(sim::Time delay) {
+  const sim::Time due = now() + delay;
+  if (retry_due_ != -1) {
+    if (retry_due_ <= due) return;
+    ++retry_gen_;  // the pending later timer now fires stale
+  }
+  retry_due_ = due;
+  set_timer(delay, kOverlayRetryTimer |
+                       (static_cast<std::int64_t>(retry_gen_) << kTimerTagShift));
 }
 
 void OverlayPeer::send_up_request() {
@@ -445,7 +462,8 @@ void OverlayPeer::on_timer(std::int64_t tag) {
       begin_leave();
       return;
     case kOverlayRetryTimer:
-      retry_timer_armed_ = false;
+      if ((tag >> kTimerTagShift) != retry_gen_) return;  // superseded
+      retry_due_ = -1;
       if (terminated_ || !idle_ || awaiting_child_ != -1 || holds_work()) return;
       send_bridge_request();
       start_down_phase();
@@ -926,7 +944,7 @@ void OverlayPeer::on_leave(sim::Message m) {
   } else if (idle_ && up_requested_) {
     if (std::pair{agg_sent(), agg_recv()} != last_sent_agg_) send_up_request();
   } else if (idle_ && awaiting_child_ == -1) {
-    arm_retry_timer();
+    arm_retry_timer(config_->retry_delay);
   }
 }
 
@@ -1174,7 +1192,11 @@ void OverlayPeer::on_peer_down(int peer) {
     void_down_timeout();
     advance_down();
   }
-  if (idle_ && awaiting_child_ == -1 && !terminated_) arm_retry_timer();
+  // A sooner re-poll than a sleeping timer's: the rebuilt child set may hold
+  // an adopted, non-pending orphan, and a crashed bridge target is re-sampled.
+  if (idle_ && awaiting_child_ == -1 && !terminated_) {
+    arm_retry_timer(config_->retry_delay);
+  }
 }
 
 sim::Time OverlayPeer::lease_period() const {

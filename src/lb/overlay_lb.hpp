@@ -269,7 +269,9 @@ class OverlayPeer final : public PeerBase {
   // idle protocol
   void start_idle_episode();
   void send_bridge_request();
-  void arm_retry_timer();
+  /// Arms the retry timer `delay` from now, unless the live one fires no
+  /// later; a sooner arm supersedes it.
+  void arm_retry_timer(sim::Time delay);
   void start_down_phase();
   void advance_down();
   void maybe_send_up();
@@ -409,23 +411,28 @@ class OverlayPeer final : public PeerBase {
   std::uint64_t my_size_ = 0;
   std::uint64_t parent_size_ = 0;
   int sizes_missing_ = 0;
-  bool ready_ = false;
-  bool member_ = true;  ///< false while dormant and after a graceful leave
 
   // dynamic tree position (diverges from tree_ only after crashes or churn)
   int parent_ = -1;
 
+  bool ready_ = false;
+  bool member_ = true;  ///< false while dormant and after a graceful leave
+
   // idle-episode state
   bool idle_ = false;
   bool up_requested_ = false;
-  bool retry_timer_armed_ = false;
   int awaiting_child_ = -1;
+  int bridge_target_ = -1;
+  /// Generation of the retry timer, carried in its tag's high bits. Bumped
+  /// only when a sooner arm supersedes a pending later timer, so the
+  /// superseded one fires stale.
+  std::uint32_t retry_gen_ = 0;
   std::int64_t episode_ = 0;
   std::vector<int> down_order_;
   std::size_t down_pos_ = 0;
   std::pair<std::uint64_t, std::uint64_t> last_sent_agg_{0, 0};
-  int bridge_target_ = -1;
   sim::Time bridge_sent_at_ = 0;
+  sim::Time retry_due_ = -1;  ///< when the live retry timer fires; -1 if none
 
   // serving state
   std::vector<bool> pending_child_;

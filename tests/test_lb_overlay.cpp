@@ -8,8 +8,11 @@
 
 #include "bb/bb_work.hpp"
 #include "lb/driver.hpp"
+#include "lb/messages.hpp"
 #include "lb/termination.hpp"
+#include "simnet/faults.hpp"
 #include "test_util.hpp"
+#include "trace/trace.hpp"
 #include "uts/uts_work.hpp"
 
 namespace olb {
@@ -366,6 +369,101 @@ TEST(OverlayLb, LargerDegreeNoSlowerOnBalancedLoad) {
     return metrics.exec_seconds;
   };
   EXPECT_LT(time_with(10), time_with(2));
+}
+
+// ------------------------------------------------------- idle retry timer ---
+
+bool is_retry_fire(const trace::TraceEvent& e) {
+  return e.kind == trace::EventKind::kTimerFire &&
+         (e.a & lb::kTimerTagMask) == lb::kOverlayRetryTimer;
+}
+
+bool is_request(const trace::TraceEvent& e, int type) {
+  return e.kind == trace::EventKind::kRequest && e.type == type;
+}
+
+TEST(OverlayIdleTimer, BTDRetryTimerFiresOnlyToAct) {
+  // A BTD peer with every child pending and its bridge request parked has
+  // nothing to do until that request falls due, so its retry timer sleeps
+  // until then instead of ticking every retry_delay. Each firing therefore
+  // re-samples a bridge, polls a child, or belongs to an idle episode that
+  // ended before it fired (plus the odd superseded timer).
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    const int n = 64;
+    auto config = base_config(lb::Strategy::kOverlayBTD, n, 3, seed);
+    trace::VectorTracer tracer;
+    config.tracer = &tracer;
+    test_util::check_uts_run(
+        config, uts_params(static_cast<std::uint32_t>(seed + 40), 400, 0.49));
+    std::uint64_t fires = 0, bridges = 0, downs = 0, episodes = 0;
+    for (const auto& e : tracer.events()) {
+      fires += is_retry_fire(e) ? 1 : 0;
+      bridges += is_request(e, lb::kReqBridge) ? 1 : 0;
+      downs += is_request(e, lb::kReqDown) ? 1 : 0;
+      episodes += e.kind == trace::EventKind::kIdleBegin ? 1 : 0;
+    }
+    EXPECT_GE(fires, 1u) << "seed " << seed;
+    EXPECT_LE(fires, bridges + downs + episodes + 16) << "seed " << seed;
+  }
+}
+
+TEST(OverlayIdleTimer, CrashedBridgeTargetIsResampledWithinRetryDelay) {
+  // A sleeping retry timer waits for the parked bridge request to fall due.
+  // When the failure detector reports that request's target crashed, the
+  // peer re-arms the timer for retry_delay, superseding the later one, and
+  // re-samples at that tick instead of waiting out bridge_patience. So an
+  // idle peer whose bridge is parked at the victim must re-sample (or get
+  // work some other way) within retry_delay of the report. Patience is set
+  // far above retry_delay so the two outcomes are apart.
+  const sim::Time retry = sim::microseconds(100);
+  const sim::NetworkConfig net = lb::paper_network(16);
+  // An idle peer may be awaiting a child's answer when the report lands; it
+  // re-arms once that downward round trip is over.
+  const sim::Time round_trip =
+      2 * (net.intra_latency + net.latency_jitter + net.msg_handling_cost);
+  const sim::Time crash_at = sim::microseconds(1500);
+  const sim::Time detection = sim::microseconds(200);
+  const sim::Time heard = crash_at + detection;
+  int resampled = 0;
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    for (int victim : {5, 9, 13}) {
+      auto config = base_config(lb::Strategy::kOverlayBTD, 16, 3, seed);
+      config.overlay.retry_delay = retry;
+      config.overlay.bridge_patience = sim::milliseconds(2);
+      config.faults.crashes.push_back({victim, crash_at});
+      config.faults.detection_delay = detection;
+      trace::VectorTracer tracer;
+      config.tracer = &tracer;
+      test_util::check_uts_run(
+          config, uts_params(static_cast<std::uint32_t>(seed + 60), 400, 0.49));
+      for (int p = 0; p < 16; ++p) {
+        if (p == victim) continue;
+        int target = -1;    // the last bridge target before the report
+        bool idle = false;  // idle when the report landed
+        const trace::TraceEvent* first = nullptr;  // re-sample or work after it
+        for (const auto& e : tracer.events()) {
+          if (e.actor != p) continue;
+          const bool bridge = is_request(e, lb::kReqBridge);
+          const bool work = e.kind == trace::EventKind::kIdleEnd;
+          if (e.time < heard) {
+            if (bridge) target = e.peer;
+            if (e.kind == trace::EventKind::kIdleBegin) idle = true;
+            if (work) idle = false;
+          } else if (bridge || work) {
+            first = &e;
+            break;
+          }
+        }
+        if (target != victim || !idle) continue;
+        ASSERT_NE(first, nullptr) << "seed " << seed << " peer " << p;
+        EXPECT_LE(first->time, heard + retry + round_trip)
+            << "seed " << seed << " victim " << victim << " peer " << p
+            << " still parked at the crashed peer";
+        if (first->kind == trace::EventKind::kRequest) ++resampled;
+      }
+    }
+  }
+  EXPECT_GE(resampled, 1) << "no idle peer had its bridge parked at a victim";
 }
 
 // ------------------------------------------------------ regression anchors ---

@@ -96,14 +96,14 @@ TEST_P(ShardedGolden, OneShardTimelineIsPinned) {
   ASSERT_TRUE(m.ok);
   EXPECT_EQ(m.sim_shards, 1);
   EXPECT_EQ(m.sim_windows, 0u);
-  EXPECT_EQ(m.events, 1746u);
-  EXPECT_EQ(m.total_messages, 492u);
+  EXPECT_EQ(m.events, 1342u);
+  EXPECT_EQ(m.total_messages, 488u);
   EXPECT_EQ(m.total_units, 2183u);
-  EXPECT_DOUBLE_EQ(m.exec_seconds, sim::to_seconds(1'599'795));
-  EXPECT_DOUBLE_EQ(m.last_compute_seconds, sim::to_seconds(1'274'151));
-  const std::vector<std::uint64_t> units = {297, 137, 80, 90, 108, 243, 197, 128,
-                                            32,  44,  67, 79, 26,  16,  29,  94,
-                                            6,   78,  64, 89, 32,  78,  145, 24};
+  EXPECT_DOUBLE_EQ(m.exec_seconds, sim::to_seconds(1'574'183));
+  EXPECT_DOUBLE_EQ(m.last_compute_seconds, sim::to_seconds(1'210'527));
+  const std::vector<std::uint64_t> units = {242, 88, 80, 90, 108, 237, 171, 129,
+                                            94,  44, 67, 79, 26,  16,  39,  94,
+                                            6,   77, 64, 56, 32,  110, 194, 40};
   ASSERT_EQ(m.final_state.size(), units.size());
   for (std::size_t i = 0; i < units.size(); ++i) {
     EXPECT_EQ(m.final_state[i].units_done, units[i]) << "peer " << i;
