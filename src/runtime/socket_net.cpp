@@ -48,6 +48,30 @@ void set_nodelay(int fd) {
 
 }  // namespace
 
+bool is_self_connected(int fd) {
+  sockaddr_storage local{};
+  sockaddr_storage peer{};
+  socklen_t local_len = sizeof local;
+  socklen_t peer_len = sizeof peer;
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&local), &local_len) != 0 ||
+      ::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &peer_len) != 0) {
+    return false;
+  }
+  if (local.ss_family != peer.ss_family) return false;
+  if (local.ss_family == AF_INET) {
+    const auto& l = reinterpret_cast<const sockaddr_in&>(local);
+    const auto& p = reinterpret_cast<const sockaddr_in&>(peer);
+    return l.sin_port == p.sin_port && l.sin_addr.s_addr == p.sin_addr.s_addr;
+  }
+  if (local.ss_family == AF_INET6) {
+    const auto& l = reinterpret_cast<const sockaddr_in6&>(local);
+    const auto& p = reinterpret_cast<const sockaddr_in6&>(peer);
+    return l.sin6_port == p.sin6_port &&
+           std::memcmp(&l.sin6_addr, &p.sin6_addr, sizeof l.sin6_addr) == 0;
+  }
+  return false;
+}
+
 SocketNet::SocketNet(Options options, const WorkCodec* codec)
     : options_(std::move(options)), codec_(codec) {
   time_is_free_ = false;  // now() is a real clock read here
@@ -245,6 +269,10 @@ void SocketNet::start_connect(int rank) {
     fd = -1;
   }
   ::freeaddrinfo(res);
+  if (fd >= 0 && !in_progress && is_self_connected(fd)) {
+    ::close(fd);  // took its own destination port: a failed connect
+    fd = -1;
+  }
   if (fd < 0) {
     schedule_reconnect(rank);
     return;
@@ -386,7 +414,10 @@ void SocketNet::handle_writable(Conn* conn) {
     int err = 0;
     socklen_t len = sizeof err;
     ::getsockopt(conn->fd, SOL_SOCKET, SO_ERROR, &err, &len);
-    if (err != 0) {
+    // A connect whose ephemeral source port was its own destination port
+    // (possible while the destination rank is not yet listening) reaches
+    // itself; it would read back its own hello. Treat it as failed.
+    if (err != 0 || is_self_connected(conn->fd)) {
       close_connection(conn);  // schedules the backoff retry
       return;
     }

@@ -66,6 +66,11 @@
 
 namespace olb::runtime {
 
+/// True when connected socket `fd` is connected to itself: its local and
+/// peer addresses are equal. A TCP connect to a loopback port nobody
+/// listens on can pick that very port as its source and complete this way.
+bool is_self_connected(int fd);
+
 class SocketNet final : public sim::Transport {
  public:
   struct Options {

@@ -26,6 +26,7 @@
 #include "lb/driver.hpp"
 #include "lb/messages.hpp"
 #include "runtime/runtime.hpp"
+#include "runtime/socket_net.hpp"
 #include "runtime/wire.hpp"
 #include "trace/export.hpp"
 #include "uts/uts_work.hpp"
@@ -103,6 +104,56 @@ std::vector<runtime::ThreadRunMetrics> run_cluster(
   for (std::thread& t : ranks) t.join();
   if (keep_workloads != nullptr) *keep_workloads = std::move(workloads);
   return results;
+}
+
+TEST(SocketNet, SelfConnectedSocketIsDetected) {
+  // A TCP connect to a loopback port nobody listens on may be handed that
+  // very port as its source and complete as a connection to itself. The
+  // backend treats such a socket as a failed connect (and reconnects); it
+  // must recognise one, and must not mistake a real connection for one.
+  const auto loopback = [](std::uint16_t port) {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    return addr;
+  };
+  const auto bound_port = [](int fd) {
+    sockaddr_in addr{};
+    socklen_t len = sizeof addr;
+    EXPECT_EQ(getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+    return ntohs(addr.sin_port);
+  };
+
+  // Deliberately self-connected: bind, then connect to the bound address.
+  const int self = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(self, 0);
+  sockaddr_in addr = loopback(0);
+  ASSERT_EQ(bind(self, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  addr = loopback(bound_port(self));
+  ASSERT_EQ(connect(self, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  EXPECT_TRUE(runtime::is_self_connected(self));
+  close(self);
+
+  // An ordinary loopback connection, seen from both of its ends.
+  const int listener = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  addr = loopback(0);
+  ASSERT_EQ(bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  ASSERT_EQ(listen(listener, 1), 0);
+  const int client = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(client, 0);
+  addr = loopback(bound_port(listener));
+  ASSERT_EQ(connect(client, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  const int server = accept(listener, nullptr, nullptr);
+  ASSERT_GE(server, 0);
+  EXPECT_FALSE(runtime::is_self_connected(client));
+  EXPECT_FALSE(runtime::is_self_connected(server));
+  // Not connected at all: no peer address, so not self-connected either.
+  EXPECT_FALSE(runtime::is_self_connected(listener));
+  close(server);
+  close(client);
+  close(listener);
 }
 
 TEST(SocketNet, UtsExactNodeCountAcrossFourRanks) {
